@@ -9,7 +9,7 @@ variables and constraints in closed form, and exhaustively minimizes tiny
 models for cross-checking.
 
 Exact variable and constraint counts (n nodes, m edges):
-  common vars:        2nPS (comp, pres) + S (used) + 2PS + 2S (cost vars)
+  common vars:        2nPS (comp, pres) + S (used) + 3PS + 2S (cost vars)
   DS adds:            2nPS (rec, senttimes) + nP (home)
   DB adds:            2nPS (sent, rec) + nP (home)
   FB adds:            2nPS (sent, rec)
@@ -409,7 +409,7 @@ def count_vars_constraints(
     ds = direct and not broadcast
     fs = (not direct) and not broadcast
 
-    variables = 2 * n * P * S + S + 2 * P * S + 2 * S + P * S  # + crec_s_p
+    variables = 2 * n * P * S + S + 3 * P * S + 2 * S
     if ds:
         variables += 2 * n * P * S + n * P
     elif direct:  # DB

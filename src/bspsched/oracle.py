@@ -5,11 +5,11 @@ values are true optima. Budgets make refusal explicit instead of thrashing.
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .dag import Dag, classify
+from .dag import Dag
 from .schedule import (
     BspSchedule,
     CommModel,
@@ -18,8 +18,8 @@ from .schedule import (
     cost as bsp_cost,
     normalize,
 )
-from .commsched import CsError, CsInstance, cs_bruteforce, cs_greedy_p2, comm_cost
-from .variants import TimedSchedule, check_maxbsp, makespan as timed_makespan
+from .commsched import CsError, CsInstance, cs_bruteforce, cs_greedy_p2
+from .variants import TimedSchedule
 
 
 class BudgetExceeded(Exception):

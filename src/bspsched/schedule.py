@@ -1,7 +1,7 @@
 """BSP schedules: validity under the four communication models and exact cost."""
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .dag import Dag
 
@@ -115,42 +115,39 @@ class ValidityReport:
         self.violations.append((rule, subject, message))
 
 
-def _presence(dag: Dag, sched: BspSchedule) -> Dict[Tuple[int, int, int], bool]:
-    """Free-movement presence indicator: value v present on p by superstep s.
+_NEVER = float("inf")
 
-    Presence counts values computed on p in superstep <= s and values received
-    in a communication phase s' < s. Tuples sent from a processor lacking the
-    value are ignored here; the validity checker reports them.
+
+def delivery_index(
+    sched: BspSchedule, free: bool, lag: int = 0
+) -> Tuple[Dict[Tuple[int, int], int], List[Tuple[int, int, int, int]]]:
+    """Where and from when each value is present, in one pass over the
+    communication tuples in superstep order.
+
+    Returns (ready, bad): ready[(v, p)] is the first superstep in which value
+    v is present on processor p, computed there by any copy or received; bad
+    lists, in superstep order, the tuples whose sender does not hold the
+    value, which deliver nothing. A copy computed in superstep s may be sent
+    from s + lag on; under free transfer a value received in superstep s may
+    also be passed on from s. A good send in superstep s delivers for s + 1,
+    so sends of one superstep never feed each other and one sorted pass
+    suffices. O(n*c + |comms| log |comms|) for c copies per node.
     """
-    pres: Set[Tuple[int, int, int]] = set()
-    computed_at: Dict[Tuple[int, int], int] = {}
+    ready: Dict[Tuple[int, int], int] = {}
     for v, copies in sched.assign.items():
         for (p, s) in copies:
-            key = (v, p)
-            if key not in computed_at or s < computed_at[key]:
-                computed_at[key] = s
-    recv: Dict[Tuple[int, int], List[int]] = {}
-    for (v, p1, p2, s) in sched.comms:
-        recv.setdefault((v, p2), []).append(s)
-    out: Dict[Tuple[int, int, int], bool] = {}
-    S = sched.superstep_count
-    for (v, p), s0 in computed_at.items():
-        for s in range(s0, S + 1):
-            pres.add((v, p, s))
-    # iterate: a relay chain may need several sweeps
-    changed = True
-    sends = sorted(sched.comms, key=lambda t: t[3])
-    while changed:
-        changed = False
-        for (v, p1, p2, s) in sends:
-            if (v, p1, s) in pres:
-                for s2 in range(s + 1, S + 1):
-                    if (v, p2, s2) not in pres:
-                        pres.add((v, p2, s2))
-                        changed = True
-    for key in pres:
-        out[key] = True
-    return out
+            if s < ready.get((v, p), _NEVER):
+                ready[(v, p)] = s
+    held = ready if free else dict(ready)
+    bad = []
+    for t in sorted(sched.comms, key=lambda t: (t[3], t)):
+        v, p1, p2, s = t
+        if held.get((v, p1), _NEVER) + lag <= s:
+            if s + 1 < ready.get((v, p2), _NEVER):
+                ready[(v, p2)] = s + 1
+        else:
+            bad.append(t)
+    return ready, bad
 
 
 def check_validity(
@@ -159,6 +156,19 @@ def check_validity(
     model: CommModel,
     duplication: bool = False,
 ) -> ValidityReport:
+    """Check every node is assigned, every tuple is sent by a holder of its
+    value and every edge's value is present where and when its consumer runs.
+
+    Direct transfer: a tuple (v, p1, p2, s) is good when some copy of v is
+    computed on p1 in superstep s or earlier. Free transfer: also when p1
+    received v after a good send in a superstep before s, so values may be
+    relayed. Either way a good tuple makes v present on p2 from superstep
+    s + 1; singlecast and broadcast only differ in cost. A consumer copy on p
+    in superstep s needs its input computed on p by s or delivered to p by s.
+    Unknown values in tuples are bad sends. Schedules with edge_comms follow
+    the edge-based rule instead. O(n*c + |comms| log |comms| + m*c) for c
+    copies per node.
+    """
     report = ValidityReport()
     if sched.edge_comms and sched.comms:
         report.add("structure", None, "both node and edge comm tuples present")
@@ -180,52 +190,34 @@ def check_validity(
             )
 
     free = model.transfer == "free"
-    pres = _presence(dag, sched) if free else None
-
-    if free:
-        for t in sched.comms:
-            v, p1, p2, s = t
-            if not pres.get((v, p1, s), False):
-                report.add("send", t, f"value {v} not present on p{p1} at superstep {s}")
-    else:
-        for t in sched.comms:
-            v, p1, p2, s = t
-            ok = any(p == p1 and sv <= s for (p, sv) in sched.assign[v])
-            if not ok:
-                report.add(
-                    "send", t, f"value {v} not computed on p{p1} by superstep {s}"
-                )
+    ready, bad = delivery_index(sched, free)
+    for t in bad:
+        v, p1, p2, s = t
+        if free:
+            report.add("send", t, f"value {v} not present on p{p1} at superstep {s}")
+        else:
+            report.add("send", t, f"value {v} not computed on p{p1} by superstep {s}")
 
     for (u, v) in dag.edges:
         for (pv, sv) in sched.assign[v]:
-            if any(pu == pv and su <= sv for (pu, su) in sched.assign[u]):
+            if ready.get((u, pv), _NEVER) <= sv:
                 continue
             if free:
-                if not pres.get((u, pv, sv), False):
-                    report.add(
-                        "edge",
-                        (u, v),
-                        f"value {u} absent on p{pv} when node {v} runs in superstep {sv}",
-                    )
+                why = f"value {u} absent on p{pv} when node {v} runs in superstep {sv}"
             else:
-                ok = any(
-                    cu == u and c2 == pv and cs < sv
-                    and any(pu == c1 and su <= cs for (pu, su) in sched.assign[u])
-                    for (cu, c1, c2, cs) in sched.comms
-                )
-                if not ok:
-                    report.add(
-                        "edge",
-                        (u, v),
-                        f"no tuple delivers value {u} to p{pv} before superstep {sv}",
-                    )
+                why = f"no tuple delivers value {u} to p{pv} before superstep {sv}"
+            report.add("edge", (u, v), why)
     return report
 
 
 def _check_validity_edge_based(
     dag: Dag, sched: BspSchedule, report: ValidityReport
 ) -> ValidityReport:
+    """A tuple (u, v, p1, p2, s) must carry a DAG edge (u, v) from u's
+    processor, sent in u's superstep or later; it serves the edge when it
+    goes to v's processor before v's superstep."""
     edges = set(dag.edges)
+    first_send: Dict[Tuple[int, int, int], int] = {}  # (u, v, target) -> superstep
     for t in sched.edge_comms:
         u, v, p1, p2, s = t
         if (u, v) not in edges:
@@ -234,6 +226,8 @@ def _check_validity_edge_based(
         pu, su = sched.single(u)
         if p1 != pu or su > s:
             report.add("send", t, f"edge tuple {t} does not originate at node {u}")
+        if su <= s < first_send.get((u, v, p2), _NEVER):
+            first_send[(u, v, p2)] = s
     for (u, v) in dag.edges:
         pu, su = sched.single(u)
         pv, sv = sched.single(v)
@@ -241,11 +235,7 @@ def _check_validity_edge_based(
             if su > sv:
                 report.add("edge", (u, v), "superstep order violated on one processor")
             continue
-        ok = any(
-            t[0] == u and t[1] == v and t[3] == pv and su <= t[4] < sv
-            for t in sched.edge_comms
-        )
-        if not ok:
+        if first_send.get((u, v, pv), _NEVER) >= sv:
             report.add("edge", (u, v), f"no edge tuple delivers ({u}, {v})")
     return report
 
@@ -353,10 +343,13 @@ def parse_schedule(text: str, dag: Dag) -> BspSchedule:
                 sup[(v, k)] = y
             elif parts[0] == "t" and len(parts) == 5:
                 comms.add(tuple(int(x) for x in parts[1:]))
+                v = int(parts[1])
             else:
                 raise ValueError
         except ValueError:
             raise ScheduleError(f"line {lineno}: malformed schedule line") from None
+        if not 1 <= v <= dag.node_count:
+            raise ScheduleError(f"line {lineno}: node {v} is not in the DAG")
     assign: Dict[int, List[Tuple[int, int]]] = {}
     for (v, k), x in sorted(proc.items()):
         if (v, k) not in sup:

@@ -7,10 +7,16 @@ t(u) + w(u) <= t(v) covers both unit and weighted inputs.
 """
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .dag import Dag
-from .schedule import BspSchedule, MachineParams, ScheduleError, ValidityReport
+from .schedule import (
+    BspSchedule,
+    MachineParams,
+    ScheduleError,
+    ValidityReport,
+    delivery_index,
+)
 
 
 @dataclass(frozen=True)
@@ -170,29 +176,27 @@ def check_maxbsp(
     params: MachineParams,
     alt_latency: bool = False,
 ) -> Tuple[ValidityReport, int]:
-    """Overlapped-superstep variant: a value must be computed strictly before
-    the superstep that sends it and consumed strictly after; superstep cost is
-    max(work, g*comm + L) (or max(work, g*comm) + L with alt_latency)."""
+    """Overlapped-superstep variant under direct transfer: a value must be
+    computed strictly before the superstep that sends it and consumed
+    strictly after. A tuple (v, p1, p2, s) is good when some copy of v is
+    computed on p1 before superstep s; it makes v present on p2 from s + 1.
+    A consumer copy on p in superstep s needs its input computed on p by s or
+    delivered to p by s. Superstep cost is max(work, g*comm + L) (or
+    max(work, g*comm) + L with alt_latency). Validity takes
+    O(n*c + |comms| log |comms| + m*c) for c copies per node."""
     report = ValidityReport()
     P, S = sched.processor_count, sched.superstep_count
     for v in range(1, dag.node_count + 1):
         if v not in sched.assign:
             report.add("assign", v, f"node {v} not assigned")
             return report, 0
-    for t in sched.comms:
+    ready, bad = delivery_index(sched, free=False, lag=1)
+    for t in bad:
         v, p1, p2, s = t
-        if not any(p == p1 and sv < s for (p, sv) in sched.assign[v]):
-            report.add("send", t, f"value {v} not computed on p{p1} before superstep {s}")
+        report.add("send", t, f"value {v} not computed on p{p1} before superstep {s}")
     for (u, v) in dag.edges:
         for (pv, sv) in sched.assign[v]:
-            if any(pu == pv and su <= sv for (pu, su) in sched.assign[u]):
-                continue
-            ok = any(
-                cu == u and c2 == pv and cs < sv
-                and any(pu == c1 and su < cs for (pu, su) in sched.assign[u])
-                for (cu, c1, c2, cs) in sched.comms
-            )
-            if not ok:
+            if ready.get((u, pv), sv + 1) > sv:
                 report.add("edge", (u, v), f"value {u} not delivered to p{pv} in time")
 
     work_ps = [[0] * P for _ in range(S)]

@@ -112,6 +112,17 @@ def test_validate_good_and_bad(files, capsys):
     assert code == 1 and "invalid" in err
 
 
+def test_comm_tuple_for_unknown_node_is_domain_error(files, capsys):
+    dag = files("d.dag", "4 3\n1 2\n2 3\n3 4\n")
+    sched = files("s.bsp", "".join(f"p {v} 1\ns {v} {v}\n" for v in range(1, 5))
+                  + "t 99 1 2 1\n")
+    for cmd in ("validate", "cost"):
+        code, out, err = run(capsys, cmd, "--dag", dag, "--sched", sched,
+                             "--model", "ds")
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 9:") and "99" in err
+
+
 def test_classify(files, capsys):
     dag = files("d.dag", "3 2\n1 2\n2 3\n")
     code, out, _ = run(capsys, "classify", "--dag", dag)

@@ -52,6 +52,21 @@ def test_counts_match_emitted_model():
                     assert (len(built.variables), len(built.constraints)) == want
 
 
+def test_counts_match_module_docstring_formula():
+    # 6 nodes, 6 edges, P=2, S=4: the common variables include crec_s_p (3PS)
+    dag = Dag(6, ((1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 6)))
+    n, P, S = 6, 2, 4
+    common = 2 * n * P * S + S + 3 * P * S + 2 * S
+    extra = {"ds": 2 * n * P * S + n * P, "db": 2 * n * P * S + n * P,
+             "fb": 2 * n * P * S, "fs": n * P * (P - 1) * S}
+    for code, model in MODELS.items():
+        built = emit_ilp(dag, P, S=S, model=model)
+        counts = (len(built.variables), len(built.constraints))
+        assert count_vars_constraints(dag, P, S, model) == counts
+        assert counts[0] == common + extra[code]
+    assert common + extra["ds"] == 240 and common + extra["fb"] == 228
+
+
 def test_fs_variable_class_quadratic_in_p():
     # free singlecast replaces the sent/rec pairs by per-target variables
     n, S = 4, 2

@@ -98,6 +98,23 @@ def test_send_before_computation_invalid():
     assert not check_validity(dag, sched, DS).valid
 
 
+def test_comm_tuple_for_unknown_node_is_a_bad_send():
+    sched = BspSchedule(
+        2, 2, single({1: (1, 1), 2: (2, 2)}), frozenset({(1, 1, 2, 1), (99, 1, 2, 1)})
+    )
+    for model in MODELS.values():
+        report = check_validity(EDGE2, sched, model)
+        assert [(r, t) for (r, t, _) in report.violations] == [("send", (99, 1, 2, 1))]
+
+
+def test_parse_rejects_unknown_node_with_line_number():
+    text = "p 1 1\ns 1 1\np 2 2\ns 2 2\nt 3 1 2 1\n"
+    with pytest.raises(ScheduleError, match="line 5"):
+        parse_schedule(text, EDGE2)
+    with pytest.raises(ScheduleError, match="line 1"):
+        parse_schedule("p 0 1\ns 1 1\np 2 1\ns 2 1\n", EDGE2)
+
+
 def cost_fixture():
     # one superstep of work 4 and 5; one p1->p2 send and two p2->p1 sends
     dag = Dag(9, ())
