@@ -71,7 +71,6 @@ from .ilp import (  # noqa: F401
     IlpModel,
     check_assignment,
     count_vars_constraints,
-    default_supersteps,
     emit_ilp,
     exhaustive_min,
     parse_solution,

@@ -10,10 +10,10 @@ leveled with a closed-form work bound.
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .dag import Dag, classify
-from .schedule import BspSchedule, CommModel, DS, MachineParams
+from .schedule import BspSchedule, CommModel, DS
 
 
 class ChainError(Exception):
@@ -298,7 +298,6 @@ def _chain_search(
 
     # single-processor baseline, always valid
     serial = {}
-    slot = 1
     if root:
         serial[root] = ((1, 1),)
     for c in chains:

@@ -13,7 +13,6 @@ from .dag import Dag, DagError, classify, gen_layered, gen_taxonomy_fixture, \
     parse_dag, serialize_dag
 from .schedule import (
     MODELS,
-    BspSchedule,
     MachineParams,
     ScheduleError,
     check_validity,

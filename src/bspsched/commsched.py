@@ -7,10 +7,10 @@ fixed assignment can be charged the same way by the caller.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .dag import Dag
-from .schedule import BspSchedule, CommModel, MachineParams
+from .schedule import CommModel, MachineParams, comm_loads, overlapped_cost, work_loads
 
 
 class CsError(Exception):
@@ -33,12 +33,6 @@ class CsInstance:
     assign: Dict[int, Tuple[Tuple[int, int], ...]]
     maxbsp: bool = False
 
-    @staticmethod
-    def from_maps(dag: Dag, P: int, S: int, pi: Dict[int, int], tau: Dict[int, int],
-                  maxbsp: bool = False) -> "CsInstance":
-        assign = {v: ((pi[v], tau[v]),) for v in range(1, dag.node_count + 1)}
-        return CsInstance(dag, P, S, assign, maxbsp)
-
     def __post_init__(self):
         for v in range(1, self.dag.node_count + 1):
             if v not in self.assign or not self.assign[v]:
@@ -53,12 +47,6 @@ class CsInstance:
                     continue
                 if not any(su + gap <= sv for (pu, su) in self.assign[u]):
                     raise CsError(f"edge ({u}, {v}) admits no communication slot")
-
-    def pi(self, v: int) -> int:
-        return self.assign[v][0][0]
-
-    def tau(self, v: int) -> int:
-        return self.assign[v][0][1]
 
 
 @dataclass
@@ -119,20 +107,8 @@ def comm_cost(
     model: CommModel,
 ) -> int:
     """Total communication units over supersteps (h-relation sum)."""
-    sent = [[0] * inst.P for _ in range(inst.S)]
-    rec = [[0] * inst.P for _ in range(inst.S)]
-    if model.cast == "broadcast":
-        for (v, p1, s) in {(v, p1, s) for (v, p1, _, s) in gamma}:
-            sent[s - 1][p1 - 1] += inst.dag.w_comm(v)
-    else:
-        for (v, p1, p2, s) in gamma:
-            sent[s - 1][p1 - 1] += inst.dag.w_comm(v)
-    for (v, p1, p2, s) in gamma:
-        rec[s - 1][p2 - 1] += inst.dag.w_comm(v)
-    return sum(
-        max(max(sent[s][p], rec[s][p]) for p in range(inst.P))
-        for s in range(inst.S)
-    )
+    _, _, h = comm_loads(inst.dag, inst.P, inst.S, gamma, model.cast == "broadcast")
+    return sum(h)
 
 
 def cs_greedy_p2(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
@@ -223,11 +199,7 @@ def cs_bruteforce(
     if objective == "maxbsp":
         if params is None:
             raise CsError("maxbsp objective needs machine parameters")
-        work_ps = [[0] * inst.P for _ in range(inst.S)]
-        for v, copies in inst.assign.items():
-            for (p, s) in copies:
-                work_ps[s - 1][p - 1] += inst.dag.w_work(v)
-        work = [max(row) for row in work_ps]
+        work = work_loads(inst.dag, inst.P, inst.S, inst.assign)
     elif objective != "comm":
         raise CsError(f"unknown objective {objective!r}")
 
@@ -251,17 +223,9 @@ def cs_bruteforce(
     def evaluate(tuples: FrozenSet) -> int:
         if objective == "comm":
             return comm_cost(inst, tuples, model)
-        sent = [[0] * inst.P for _ in range(inst.S)]
-        rec = [[0] * inst.P for _ in range(inst.S)]
-        for (v, p1, p2, s) in tuples:
-            sent[s - 1][p1 - 1] += inst.dag.w_comm(v)
-            rec[s - 1][p2 - 1] += inst.dag.w_comm(v)
-        total = 0
-        for s in range(inst.S):
-            c = max(max(sent[s][p], rec[s][p]) for p in range(inst.P))
-            lat = params.L if c > 0 else 0
-            total += max(work[s], params.g * c + lat)
-        return total
+        # every tuple pays its sender, as under singlecast
+        _, _, h = comm_loads(inst.dag, inst.P, inst.S, tuples, False)
+        return overlapped_cost(work, h, params)
 
     best: List = [None, None]
 

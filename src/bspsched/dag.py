@@ -2,7 +2,7 @@
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 class DagError(Exception):
@@ -144,12 +144,7 @@ def parse_dag(text: str) -> Dag:
         target = work if parts[0] == "w" else comm
         if x != 1:
             target[u] = x
-    try:
-        return Dag(n, tuple(edges), work, comm)
-    except DagCycleError:
-        raise
-    except DagError:
-        raise
+    return Dag(n, tuple(edges), work, comm)
 
 
 def serialize_dag(dag: Dag) -> str:

@@ -8,7 +8,6 @@ placement checker is provided.
 """
 
 from dataclasses import dataclass
-from itertools import product
 from typing import List, Sequence, Set, Tuple
 
 

@@ -28,8 +28,10 @@ from .schedule import (
     CommModel,
     MachineParams,
     check_validity,
+    comm_loads,
     cost,
     normalize,
+    work_loads,
 )
 
 
@@ -71,13 +73,6 @@ class IlpModel:
                     raise IlpError(f"constraint {cname}: unknown variable {vname}")
 
 
-def default_supersteps(dag: Dag) -> int:
-    """n in general; min(n, P)-free chain inputs are tightened by the caller
-    who knows P, so here: chains and connected chains get their proven caps
-    via classify when P is supplied to emit_ilp."""
-    return dag.node_count
-
-
 def _default_s(dag: Dag, P: int) -> int:
     cls = classify(dag)
     n = dag.node_count
@@ -96,7 +91,6 @@ def emit_ilp(
     L: int = 0,
     model: CommModel = None,
     duplication: bool = False,
-    weights: bool = True,
 ) -> IlpModel:
     from .schedule import DS as _DS
 
@@ -113,12 +107,6 @@ def emit_ilp(
     broadcast = model.cast == "broadcast"
     ds = direct and not broadcast
     fs = (not direct) and not broadcast
-
-    def ww(v: int) -> int:
-        return dag.w_work(v) if weights else 1
-
-    def wc(v: int) -> int:
-        return dag.w_comm(v) if weights else 1
 
     m = IlpModel(dag=dag, P=P, S=S, g=g, L=L, model=model, duplication=duplication)
     add_var = m.variables.append
@@ -155,8 +143,8 @@ def emit_ilp(
     for s in range(1, S + 1):
         add_var((f"used_{s}", ("binary",)))
 
-    wtot = sum(ww(v) for v in range(1, n + 1))
-    ctot = P * sum(wc(v) for v in range(1, n + 1))
+    wtot = sum(dag.w_work(v) for v in range(1, n + 1))
+    ctot = P * sum(dag.w_comm(v) for v in range(1, n + 1))
     for s in range(1, S + 1):
         for p in range(1, P + 1):
             add_var((f"cwork_{s}_{p}", ("general", 0, wtot)))
@@ -302,7 +290,7 @@ def emit_ilp(
     # cost definitions
     for s in range(1, S + 1):
         for p in range(1, P + 1):
-            terms = [(ww(v), f"comp_{v}_{p}_{s}") for v in range(1, n + 1)]
+            terms = [(dag.w_work(v), f"comp_{v}_{p}_{s}") for v in range(1, n + 1)]
             add((f"cworkdef_{s}_{p}", terms + [(-1, f"cwork_{s}_{p}")], "=", 0))
     for s in range(1, S + 1):
         for p in range(1, P + 1):
@@ -315,28 +303,28 @@ def emit_ilp(
     for s in range(1, S + 1):
         for p in range(1, P + 1):
             if ds:
-                terms = [(wc(v), f"senttimes_{v}_{p}_{s}") for v in range(1, n + 1)]
+                terms = [(dag.w_comm(v), f"senttimes_{v}_{p}_{s}") for v in range(1, n + 1)]
             elif fs:
                 terms = [
-                    (wc(v), f"comm_{v}_{p}_{p2}_{s}")
+                    (dag.w_comm(v), f"comm_{v}_{p}_{p2}_{s}")
                     for v in range(1, n + 1)
                     for p2 in range(1, P + 1)
                     if p2 != p
                 ]
             else:
-                terms = [(wc(v), f"sent_{v}_{p}_{s}") for v in range(1, n + 1)]
+                terms = [(dag.w_comm(v), f"sent_{v}_{p}_{s}") for v in range(1, n + 1)]
             add((f"csentdef_{s}_{p}", terms + [(-1, f"csent_{s}_{p}")], "=", 0))
     for s in range(1, S + 1):
         for p in range(1, P + 1):
             if fs:
                 terms = [
-                    (wc(v), f"comm_{v}_{p1}_{p}_{s}")
+                    (dag.w_comm(v), f"comm_{v}_{p1}_{p}_{s}")
                     for v in range(1, n + 1)
                     for p1 in range(1, P + 1)
                     if p1 != p
                 ]
             else:
-                terms = [(wc(v), f"rec_{v}_{p}_{s}") for v in range(1, n + 1)]
+                terms = [(dag.w_comm(v), f"rec_{v}_{p}_{s}") for v in range(1, n + 1)]
             add((f"crecdef_{s}_{p}", terms + [(-1, f"crec_{s}_{p}")], "=", 0))
     for s in range(1, S + 1):
         for p in range(1, P + 1):
@@ -662,10 +650,7 @@ def exhaustive_min(
             inst = CsInstance(dag, P, S, assign)
         except CsError:
             continue
-        work_ps = [[0] * P for _ in range(S)]
-        for v, ((p, s),) in assign.items():
-            work_ps[s - 1][p - 1] += dag.w_work(v)
-        work_total = sum(max(row) for row in work_ps)
+        work_total = sum(work_loads(dag, P, S, assign))
         if best_cost is not None and work_total >= best_cost:
             continue
         reqs = cross_requirements(inst)
@@ -689,21 +674,8 @@ def exhaustive_min(
             continue
 
         def evaluate(tuples) -> int:
-            sent = [[0] * P for _ in range(S)]
-            rec = [[0] * P for _ in range(S)]
-            if broadcast:
-                for (v, p1, s) in {(v, p1, s) for (v, p1, _, s) in tuples}:
-                    sent[s - 1][p1 - 1] += dag.w_comm(v)
-            else:
-                for (v, p1, p2, s) in tuples:
-                    sent[s - 1][p1 - 1] += dag.w_comm(v)
-            for (v, p1, p2, s) in tuples:
-                rec[s - 1][p2 - 1] += dag.w_comm(v)
-            total = work_total
-            for s in range(S):
-                h = max(max(sent[s][p], rec[s][p]) for p in range(P))
-                total += g * h + (L if h > 0 else 0)
-            return total
+            _, _, h = comm_loads(dag, P, S, tuples, broadcast)
+            return work_total + g * sum(h) + L * sum(1 for c in h if c > 0)
 
         def search(i: int, tuples: frozenset):
             nonlocal best_cost, best_state

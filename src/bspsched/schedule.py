@@ -1,7 +1,7 @@
 """BSP schedules: validity under the four communication models and exact cost."""
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .dag import Dag
 
@@ -79,9 +79,6 @@ class BspSchedule:
                 raise ScheduleError(f"comm tuple for {v} has p1 == p2")
             if not (1 <= p1 <= P and 1 <= p2 <= P and 1 <= s <= S):
                 raise ScheduleError(f"comm tuple {(v, p1, p2, s)} out of range")
-
-    def copies(self, v: int) -> Tuple[Tuple[int, int], ...]:
-        return self.assign[v]
 
     def single(self, v: int) -> Tuple[int, int]:
         copies = self.assign[v]
@@ -240,44 +237,85 @@ def _check_validity_edge_based(
     return report
 
 
+def work_loads(
+    dag: Dag, P: int, S: int, assign: Dict[int, Tuple[Tuple[int, int], ...]]
+) -> List[int]:
+    """Largest work of one processor in each superstep (index s - 1); every
+    copy of a node counts."""
+    work = [[0] * P for _ in range(S)]
+    for v, copies in assign.items():
+        for (p, s) in copies:
+            work[s - 1][p - 1] += dag.w_work(v)
+    return [max(row) for row in work]
+
+
+def comm_loads(
+    dag: Optional[Dag],
+    P: int,
+    S: int,
+    tuples: Iterable[Tuple[int, int, int, int]],
+    broadcast: bool,
+) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+    """Per-superstep communication loads (sent, rec, h), all 0-based:
+    sent[s][p] and rec[s][p] are the units processor p sends and receives in
+    superstep s, and h[s] = max over p of max(sent[s][p], rec[s][p]) is the
+    h-relation. A tuple (v, p1, p2, s) charges w_comm(v) to p2 and to p1;
+    under broadcast p1 pays once per (v, s) however many targets it serves.
+    Without a DAG every tuple weighs one unit."""
+    w_comm = dag.w_comm if dag is not None else (lambda v: 1)
+    sent = [[0] * P for _ in range(S)]
+    rec = [[0] * P for _ in range(S)]
+    charged = set()
+    for (v, p1, p2, s) in tuples:
+        w = w_comm(v)
+        rec[s - 1][p2 - 1] += w
+        if broadcast:
+            if (v, p1, s) in charged:
+                continue
+            charged.add((v, p1, s))
+        sent[s - 1][p1 - 1] += w
+    h = [max(max(a, b) for a, b in zip(out, into)) for out, into in zip(sent, rec)]
+    return sent, rec, h
+
+
+def overlapped_cost(
+    work: Sequence[int], h: Sequence[int], params: MachineParams, alt_latency: bool = False
+) -> int:
+    """Overlapped supersteps: sum over s of max(work, g*h + L), or of
+    max(work, g*h) + L with alt_latency; L only where h > 0."""
+    total = 0
+    for w, c in zip(work, h):
+        lat = params.L if c > 0 else 0
+        if alt_latency:
+            total += max(w, params.g * c) + lat
+        else:
+            total += max(w, params.g * c + lat)
+    return total
+
+
 def cost(
     dag: Dag,
     sched: BspSchedule,
     model: CommModel,
     params: MachineParams,
-    edge_based: bool = False,
 ) -> CostBreakdown:
+    """BSP cost sum_s [work(s) + g*h(s)] + L*#{s : h(s) > 0}. Schedules with
+    edge_comms are priced edge by edge, one unit per tuple, whatever the
+    model; the others per value with the model's cast. A tuple naming a node
+    outside the DAG is an error."""
     P, S = sched.processor_count, sched.superstep_count
-    if edge_based and sched.comms:
-        raise ScheduleError("edge_based cost requested on a node-tuple schedule")
-    if not edge_based and sched.edge_comms:
-        raise ScheduleError("node-based cost requested on an edge-tuple schedule")
-
-    work_ps = [[0] * P for _ in range(S)]
-    for v, copies in sched.assign.items():
-        for (p, s) in copies:
-            work_ps[s - 1][p - 1] += dag.w_work(v)
-
-    sent = [[0] * P for _ in range(S)]
-    rec = [[0] * P for _ in range(S)]
-    if edge_based:
-        for (u, v, p1, p2, s) in sched.edge_comms:
-            sent[s - 1][p1 - 1] += 1
-            rec[s - 1][p2 - 1] += 1
+    if sched.edge_comms and sched.comms:
+        raise ScheduleError("both node and edge comm tuples present")
+    n = dag.node_count
+    for t in sched.comms or sched.edge_comms:
+        if not (1 <= t[0] <= n and 1 <= t[-4] <= n):  # t[-4] is v in (u, v, p1, p2, s)
+            raise ScheduleError(f"comm tuple {t} names a node outside the DAG")
+    if sched.edge_comms:
+        tuples = [(u, p1, p2, s) for (u, _, p1, p2, s) in sched.edge_comms]
+        sent, rec, comm = comm_loads(None, P, S, tuples, False)
     else:
-        if model.cast == "broadcast":
-            for (v, p1, s) in {(v, p1, s) for (v, p1, _, s) in sched.comms}:
-                sent[s - 1][p1 - 1] += dag.w_comm(v)
-        else:
-            for (v, p1, p2, s) in sched.comms:
-                sent[s - 1][p1 - 1] += dag.w_comm(v)
-        for (v, p1, p2, s) in sched.comms:
-            rec[s - 1][p2 - 1] += dag.w_comm(v)
-
-    work = [max(row) if row else 0 for row in work_ps]
-    comm = [
-        max(max(sent[s][p], rec[s][p]) for p in range(P)) for s in range(S)
-    ]
+        sent, rec, comm = comm_loads(dag, P, S, sched.comms, model.cast == "broadcast")
+    work = work_loads(dag, P, S, sched.assign)
     latency_supersteps = sum(1 for c in comm if c > 0)
     work_total = sum(work)
     comm_total = sum(comm)
@@ -321,58 +359,56 @@ def normalize(sched: BspSchedule) -> BspSchedule:
     )
 
 
-def parse_schedule(text: str, dag: Dag) -> BspSchedule:
-    """Parse the line-based schedule format: "p v x [k]", "s v y [k]",
-    "t v p1 p2 s"."""
-    proc: Dict[Tuple[int, int], int] = {}
-    sup: Dict[Tuple[int, int], int] = {}
+def read_schedule_lines(
+    text: str, dag: Dag, key: str
+) -> Tuple[Dict[int, Tuple[Tuple[int, int], ...]], FrozenSet[Tuple[int, int, int, int]], int]:
+    """Read the line-based schedule formats: "p v x [k]" puts copy k
+    (default 1) of node v on processor x, "<key> v y [k]" gives that copy's
+    superstep (key "s") or start time (key "at"), and "t v p1 p2 y" is a
+    communication tuple; '#' starts a comment. Every node of the DAG must be
+    placed and no line may name another node. Returns (assign, comms, P),
+    P the largest processor named."""
+    what = {"s": "superstep", "at": "start time"}[key]
+    proc: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (v, k) -> (x, line)
+    when: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (v, k) -> (y, line)
     comms = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = stripped.split()
         try:
-            if parts[0] == "p" and len(parts) in (3, 4):
-                v, x = int(parts[1]), int(parts[2])
-                k = int(parts[3]) if len(parts) == 4 else 1
-                proc[(v, k)] = x
-            elif parts[0] == "s" and len(parts) in (3, 4):
-                v, y = int(parts[1]), int(parts[2])
-                k = int(parts[3]) if len(parts) == 4 else 1
-                sup[(v, k)] = y
-            elif parts[0] == "t" and len(parts) == 5:
-                comms.add(tuple(int(x) for x in parts[1:]))
-                v = int(parts[1])
-            else:
-                raise ValueError
+            nums = [int(x) for x in parts[1:]]
         except ValueError:
-            raise ScheduleError(f"line {lineno}: malformed schedule line") from None
-        if not 1 <= v <= dag.node_count:
-            raise ScheduleError(f"line {lineno}: node {v} is not in the DAG")
+            nums = []
+        if parts[0] in ("p", key) and len(nums) in (2, 3):
+            copy = (nums[0], nums[2] if len(nums) == 3 else 1)
+            (proc if parts[0] == "p" else when)[copy] = (nums[1], lineno)
+        elif parts[0] == "t" and len(nums) == 4:
+            comms.add(tuple(nums))
+        else:
+            raise ScheduleError(f"line {lineno}: malformed schedule line")
+        if not 1 <= nums[0] <= dag.node_count:
+            raise ScheduleError(f"line {lineno}: node {nums[0]} is not in the DAG")
     assign: Dict[int, List[Tuple[int, int]]] = {}
-    for (v, k), x in sorted(proc.items()):
-        if (v, k) not in sup:
-            raise ScheduleError(f"node {v} copy {k}: processor without superstep")
-        assign.setdefault(v, []).append((x, sup[(v, k)]))
-    for (v, k) in sup:
+    for (v, k), (x, lineno) in sorted(proc.items()):
+        if (v, k) not in when:
+            raise ScheduleError(f"line {lineno}: node {v} copy {k}: processor without {what}")
+        assign.setdefault(v, []).append((x, when[(v, k)][0]))
+    for (v, k), (_, lineno) in sorted(when.items()):
         if (v, k) not in proc:
-            raise ScheduleError(f"node {v} copy {k}: superstep without processor")
+            raise ScheduleError(f"line {lineno}: node {v} copy {k}: {what} without processor")
     if set(assign) != set(range(1, dag.node_count + 1)):
         missing = sorted(set(range(1, dag.node_count + 1)) - set(assign))
         raise ScheduleError(f"nodes without assignment: {missing}")
-    P = max(
-        [x for x in proc.values()]
-        + [t[1] for t in comms]
-        + [t[2] for t in comms]
-    )
-    S = max([y for y in sup.values()] + [t[3] for t in comms])
-    return BspSchedule(
-        processor_count=P,
-        superstep_count=S,
-        assign={v: tuple(pairs) for v, pairs in assign.items()},
-        comms=frozenset(comms),
-    )
+    P = max([x for (x, _) in proc.values()] + [t[i] for t in comms for i in (1, 2)])
+    return {v: tuple(pairs) for v, pairs in assign.items()}, frozenset(comms), P
+
+
+def parse_schedule(text: str, dag: Dag) -> BspSchedule:
+    """Parse a BSP schedule file: "p v x [k]", "s v y [k]", "t v p1 p2 s"."""
+    assign, comms, P = read_schedule_lines(text, dag, "s")
+    S = max([s for copies in assign.values() for (_, s) in copies] + [t[3] for t in comms])
+    return BspSchedule(processor_count=P, superstep_count=S, assign=assign, comms=comms)
 
 
 def serialize_schedule(sched: BspSchedule) -> str:

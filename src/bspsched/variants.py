@@ -15,7 +15,11 @@ from .schedule import (
     MachineParams,
     ScheduleError,
     ValidityReport,
+    comm_loads,
     delivery_index,
+    overlapped_cost,
+    read_schedule_lines,
+    work_loads,
 )
 
 
@@ -199,25 +203,9 @@ def check_maxbsp(
             if ready.get((u, pv), sv + 1) > sv:
                 report.add("edge", (u, v), f"value {u} not delivered to p{pv} in time")
 
-    work_ps = [[0] * P for _ in range(S)]
-    for v, copies in sched.assign.items():
-        for (p, s) in copies:
-            work_ps[s - 1][p - 1] += dag.w_work(v)
-    sent = [[0] * P for _ in range(S)]
-    rec = [[0] * P for _ in range(S)]
-    for (v, p1, p2, s) in sched.comms:
-        sent[s - 1][p1 - 1] += dag.w_comm(v)
-        rec[s - 1][p2 - 1] += dag.w_comm(v)
-    total = 0
-    for s in range(S):
-        w = max(work_ps[s])
-        c = max(max(sent[s][p], rec[s][p]) for p in range(P))
-        lat = params.L if c > 0 else 0
-        if alt_latency:
-            total += max(w, params.g * c) + lat
-        else:
-            total += max(w, params.g * c + lat)
-    return report, total
+    work = work_loads(dag, P, S, sched.assign)
+    _, _, h = comm_loads(dag, P, S, sched.comms, False)
+    return report, overlapped_cost(work, h, params, alt_latency)
 
 
 def convert_spd_to_bsp(dag: Dag, ts: TimedSchedule, g: int) -> BspSchedule:
@@ -253,47 +241,9 @@ def convert_spd_to_bsp(dag: Dag, ts: TimedSchedule, g: int) -> BspSchedule:
 
 
 def parse_timed_schedule(text: str, dag: Dag) -> TimedSchedule:
-    """Format: "p v x [k]" processor lines, "at v t [k]" time lines,
-    "t v p1 p2 t0" comm lines."""
-    proc: Dict[Tuple[int, int], int] = {}
-    times: Dict[Tuple[int, int], int] = {}
-    comms = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        try:
-            if parts[0] == "p" and len(parts) in (3, 4):
-                k = int(parts[3]) if len(parts) == 4 else 1
-                proc[(int(parts[1]), k)] = int(parts[2])
-            elif parts[0] == "at" and len(parts) in (3, 4):
-                k = int(parts[3]) if len(parts) == 4 else 1
-                times[(int(parts[1]), k)] = int(parts[2])
-            elif parts[0] == "t" and len(parts) == 5:
-                comms.add(tuple(int(x) for x in parts[1:]))
-            else:
-                raise ValueError
-        except ValueError:
-            raise ScheduleError(f"line {lineno}: malformed timed schedule line") from None
-    assign: Dict[int, List[Tuple[int, int]]] = {}
-    for (v, k), x in sorted(proc.items()):
-        if (v, k) not in times:
-            raise ScheduleError(f"node {v} copy {k}: processor without start time")
-        assign.setdefault(v, []).append((x, times[(v, k)]))
-    if set(assign) != set(range(1, dag.node_count + 1)):
-        missing = sorted(set(range(1, dag.node_count + 1)) - set(assign))
-        raise ScheduleError(f"nodes without assignment: {missing}")
-    P = max(
-        [x for x in proc.values()]
-        + [t[1] for t in comms]
-        + [t[2] for t in comms]
-    )
-    return TimedSchedule(
-        processor_count=P,
-        assign={v: tuple(pairs) for v, pairs in assign.items()},
-        timed_comms=frozenset(comms),
-    )
+    """Parse a timed schedule file: "p v x [k]", "at v t [k]", "t v p1 p2 t0"."""
+    assign, comms, P = read_schedule_lines(text, dag, "at")
+    return TimedSchedule(processor_count=P, assign=assign, timed_comms=comms)
 
 
 def serialize_timed_schedule(ts: TimedSchedule) -> str:

@@ -107,6 +107,20 @@ def test_comm_tuple_for_unknown_node_is_a_bad_send():
         assert [(r, t) for (r, t, _) in report.violations] == [("send", (99, 1, 2, 1))]
 
 
+def test_cost_rejects_comm_tuple_for_unknown_node():
+    sched = BspSchedule(
+        2, 2, single({1: (1, 1), 2: (2, 2)}), frozenset({(1, 1, 2, 1), (99, 1, 2, 1)})
+    )
+    for model in MODELS.values():
+        with pytest.raises(ScheduleError, match=r"\(99, 1, 2, 1\)"):
+            cost(EDGE2, sched, model, MachineParams(1, 0))
+    edge = BspSchedule(
+        2, 2, single({1: (1, 1), 2: (2, 2)}), edge_comms=frozenset({(1, 7, 1, 2, 1)})
+    )
+    with pytest.raises(ScheduleError, match=r"\(1, 7, 1, 2, 1\)"):
+        cost(EDGE2, edge, DS, MachineParams(1, 0))
+
+
 def test_parse_rejects_unknown_node_with_line_number():
     text = "p 1 1\ns 1 1\np 2 2\ns 2 2\nt 3 1 2 1\n"
     with pytest.raises(ScheduleError, match="line 5"):
@@ -178,8 +192,11 @@ def test_duplicate_copies_both_count_as_work():
 
 def test_edge_based_flag_mismatch_errors():
     dag, sched = cost_fixture()
+    mixed = BspSchedule(
+        2, 1, sched.assign, sched.comms, edge_comms=frozenset({(1, 5, 1, 2, 1)})
+    )
     with pytest.raises(ScheduleError):
-        cost(dag, sched, DS, MachineParams(1, 0), edge_based=True)
+        cost(dag, mixed, DS, MachineParams(1, 0))
 
 
 def test_edge_based_accounting():
@@ -193,7 +210,7 @@ def test_edge_based_accounting():
     )
     assert check_validity(dag, sched, DS).valid
     # per-edge accounting charges both consumed edges
-    assert cost(dag, sched, DS, MachineParams(1, 0), edge_based=True).comm_total == 2
+    assert cost(dag, sched, DS, MachineParams(1, 0)).comm_total == 2
 
 
 def test_normalize_strips_empty_supersteps():

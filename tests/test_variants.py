@@ -1,7 +1,9 @@
 import pytest
 
 from bspsched.dag import Dag, gen_layered, gen_taxonomy_fixture
-from bspsched.schedule import DS, BspSchedule, MachineParams, check_validity, cost
+from bspsched.schedule import (
+    DS, BspSchedule, MachineParams, ScheduleError, check_validity, cost
+)
 from bspsched.variants import (
     TimedSchedule,
     check_classical,
@@ -201,6 +203,20 @@ def test_timed_round_trip():
     assert again.assign == ts.assign
     assert again.timed_comms == ts.timed_comms
     assert serialize_timed_schedule(again) == text
+
+
+def test_timed_reader_rejects_unknown_node_with_line_number():
+    dag = Dag(2, ((1, 2),))
+    text = "p 1 1\nat 1 1\np 2 2\nat 2 3\nt 99 1 2 1\n"
+    with pytest.raises(ScheduleError, match="line 5"):
+        parse_timed_schedule(text, dag)
+
+
+def test_timed_reader_rejects_start_time_without_processor():
+    dag = Dag(2, ((1, 2),))
+    text = "p 1 1\nat 1 1\np 2 2\nat 2 3\nat 2 9 2\n"
+    with pytest.raises(ScheduleError, match="line 5"):
+        parse_timed_schedule(text, dag)
 
 
 def test_makespan_uses_weighted_intervals():
