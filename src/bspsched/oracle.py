@@ -275,6 +275,8 @@ def brute_opt_bsp(
 
     order = dag.topo_order()
     pred = dag.pred()
+    succ = dag.succ()
+    w = [0] + [dag.w_work(v) for v in range(1, n + 1)]
     total_work = dag.total_work()
     work_floor = -(-total_work // P)
     gap = 2 if maxbsp else 1
@@ -331,70 +333,81 @@ def brute_opt_bsp(
                 sym_state[j][0] = ptr0
                 sym_state[j][1] = False
 
+        # _apply/_unapply keep the bound state below up to date: a search
+        # node updates what its placement changed instead of recomputing it.
         work_ps = [[0] * P for _ in range(S)]
         sup_max = [0] * S
         sup_tot = [0] * S
         placed: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        remaining = [total_work]
-        used_hi = [0]
+        ssum = 0  # sum of sup_max
+        placed_w = 0  # sum of sup_tot: work of the placed copies
+        rem = total_work  # work of the unplaced nodes
+        used_hi = 0
+        empties = S  # supersteps without work
+        # earliest feasible superstep of each unplaced node (single-copy
+        # searches); it only rises as predecessors are placed. tail_w[s] is
+        # the unplaced work whose earliest superstep is s.
+        est = [1] * (n + 1)
+        tail_w = [0] * (S + 1)
+        tail_w[1] = total_work
         # communication lower-bound state (single-copy searches only): for
         # every boundary interval [a, b], pairs whose whole legal send window
-        # sits inside it force that many units of communication there
-        pair_need: Dict[Tuple[int, int], int] = {}
-        rec_cnt = [[[0] * S for _ in range(S)] for _ in range(P)]
-        sent_cnt = [[[0] * S for _ in range(S)] for _ in range(P)]
+        # sits inside it force that many units of communication there.
+        # tables[p - 1][a][b] counts them per receiver p, and under direct
+        # singlecast tables[P + p - 1][a][b] per sender p. maxbsp reads only
+        # single boundaries [s, s], through fac[s - 1] = max(g * f + L, 1)
+        # with f the most pairs confined to s (fac[S - 1] = 1 closes the sum).
+        # need[u][p]: earliest superstep a copy on p reads u from another
+        # processor, S + 1 while there is none
+        need = [[S + 1] * (P + 1) for _ in range(n + 1)]
         count_sent = direct and not broadcast
+        tables = [[[0] * S for _ in range(S)]
+                  for _ in range(2 * P if count_sent else P)]
+        fac = [max(g + L, 1)] * (S - 1) + [1]
+        ones = [1] * S
         off = 1 if maxbsp else 0
 
-        def _cnt_update(pair, need: int, sign: int):
-            u, pv = pair
+        def _count(u: int, pv: int, b_lo: int, b_hi: int, sign: int):
+            # (u, pv) is confined to the intervals [a, b] with a <= su + off
+            # and b >= need - 1; add sign to those with b_lo <= b < b_hi
             (pu, su) = placed[u][0]
             lo = su + off
-            hi = need - 1
-            for a in range(1, lo + 1):
-                row = rec_cnt[pv - 1][a - 1]
-                for b in range(hi, S):
-                    row[b - 1] += sign
-            if count_sent:
+            tabs = ((tables[pv - 1], tables[P + pu - 1]) if count_sent
+                    else (tables[pv - 1],))
+            if maxbsp:
+                if b_lo == lo:  # b_lo >= lo always
+                    for tab in tabs:
+                        tab[lo][lo] += sign
+                    f = max(1, *[tab[lo][lo] for tab in tables])
+                    fac[lo - 1] = max(g * f + L, 1)
+                return
+            for tab in tabs:
                 for a in range(1, lo + 1):
-                    row = sent_cnt[pu - 1][a - 1]
-                    for b in range(hi, S):
-                        row[b - 1] += sign
+                    row = tab[a]
+                    for b in range(b_lo, b_hi):
+                        row[b] += sign
 
         def comm_lb() -> int:
-            # partition the boundaries into intervals; each interval costs at
-            # least max(1, max_p pairs confined to it)
-            dp = [0] * S
-            for b in range(1, S):
-                best_b = 0
-                for a in range(1, b + 1):
-                    m = 1
-                    for p in range(P):
-                        c = rec_cnt[p][a - 1][b - 1]
-                        if c > m:
-                            m = c
-                        if count_sent:
-                            c = sent_cnt[p][a - 1][b - 1]
-                            if c > m:
-                                m = c
-                    if dp[a - 1] + m > best_b:
-                        best_b = dp[a - 1] + m
-                dp[b] = best_b
+            # partition the boundaries into intervals; each interval [a, b]
+            # costs at least max(1, most pairs one table confines to it)
+            dp = [0] * S  # dp[b]: best partition bound on boundaries 1..b
+            for a in range(1, S):
+                conf = map(max, ones[a:], *[tab[a][a:] for tab in tables])
+                dp[a:] = map(max, dp[a:], map(dp[a - 1].__add__, conf))
             return dp[S - 1]
 
-        w_of = {v: dag.w_work(v) for v in order}
-        smin = [1] * (dag.node_count + 1)
+        # comm_lb() of this node when comm_exact, else of an ancestor: pair
+        # counts only grow down the search tree, so an ancestor's value is
+        # no larger, and it is refreshed only when the bound it gives does
+        # not already reach the cutoff
+        comm_floor = comm_lb()
+        comm_exact = True
 
-        def lower_bound(idx: int) -> int:
-            ssum = 0
-            slack = 0
-            for s in range(S):
-                m = sup_max[s]
-                ssum += m
-                row = work_ps[s]
-                for p in range(P):
-                    slack += m - row[p]
-            rem = remaining[0]
+        def lower_bound(cutoff: int) -> int:
+            """The node's lower bound when it is below cutoff; otherwise some
+            value at or above cutoff, so the pruning decision is the same."""
+            nonlocal comm_floor, comm_exact
+            slack = P * ssum - placed_w
             wlb = ssum
             if rem > slack:
                 wlb += -(-(rem - slack) // P)
@@ -405,24 +418,14 @@ def brute_opt_bsp(
                 # superstep is >= s shares supersteps s..S with the work
                 # already placed there, so each prefix of superstep maxima
                 # plus the packed tail is a valid floor
-                tail_w = [0] * (S + 1)
-                for i in range(idx, n):
-                    v = order[i]
-                    sm = 1
-                    for u in pred[v]:
-                        t = placed[u][0][1] if u in placed else smin[u]
-                        if t > sm:
-                            sm = t
-                    smin[v] = sm
-                    tail_w[sm] += w_of[v]
-                suffix = rem + sum(sup_tot)
+                suffix = rem + placed_w
                 prefix = 0
-                for s in range(1, S + 1):
+                for s in range(S):
                     cand = prefix + -(-suffix // P)
                     if cand > wlb:
                         wlb = cand
-                    prefix += sup_max[s - 1]
-                    suffix -= sup_tot[s - 1] + tail_w[s]
+                    prefix += sup_max[s]
+                    suffix -= sup_tot[s] + tail_w[s + 1]
             if S == 1:
                 return max(wlb, 1) if maxbsp else wlb
             if duplication:
@@ -430,29 +433,26 @@ def brute_opt_bsp(
                 return wlb + (g + L) * (S - 1)
             if maxbsp:
                 total = 0
-                for s in range(S - 1):
-                    f = 1
-                    for p in range(P):
-                        if rec_cnt[p][s][s] > f:
-                            f = rec_cnt[p][s][s]
-                        if count_sent and sent_cnt[p][s][s] > f:
-                            f = sent_cnt[p][s][s]
-                    total += max(sup_max[s], g * f + L, 1)
-                total += max(sup_max[S - 1], 1)
+                for m, f in zip(sup_max, fac):
+                    total += m if m > f else f
                 return max(wlb, total)
-            return wlb + g * comm_lb() + L * (S - 1)
+            bound = wlb + g * comm_floor + L * (S - 1)
+            if bound < cutoff and not comm_exact:
+                comm_floor = comm_lb()
+                comm_exact = True
+                bound = wlb + g * comm_floor + L * (S - 1)
+            return bound
 
         def place(idx: int):
             counter.tick()
-            if best[1] is not None and lower_bound(idx) >= best[1]:
+            if best[1] is not None and lower_bound(best[1]) >= best[1]:
                 return
             if direct and not maxbsp and not duplication:
                 # compute-free supersteps merge away; the unplaced nodes
                 # must be able to fill every still-empty superstep
-                empties = sum(1 for x in sup_max if x == 0)
-                if empties > len(order) - idx:
+                if empties > n - idx:
                     return
-            if idx == len(order):
+            if idx == n:
                 sched = BspSchedule(P, S, dict(placed))
                 done = _complete_and_cost(dag, sched, model, params, maxbsp,
                                           exact=True)
@@ -460,7 +460,7 @@ def brute_opt_bsp(
                     consider(*done)
                 return
             v = order[idx]
-            used = used_hi[0]
+            used = used_hi
             options = []
             if duplication:
                 options = _dup_options(v, used)
@@ -493,7 +493,6 @@ def brute_opt_bsp(
 
         def _dup_options(v: int, used: int):
             opts = []
-            procs = list(range(1, min(used + len(pred[v]) + P, P) + 1))
             # enumerate nonempty copy sets on distinct processors
             def grow(start_p: int, chosen: List[Tuple[int, int]]):
                 if chosen:
@@ -524,55 +523,86 @@ def brute_opt_bsp(
             return opts
 
         def _apply(v: int, copies):
+            nonlocal ssum, placed_w, rem, used_hi, empties, comm_exact
             placed[v] = copies
-            wv = dag.w_work(v)
+            wv = w[v]
             supmax_undo = []
-            prev_used = used_hi[0]
+            prev_used = used_hi
             for (p, s) in copies:
-                work_ps[s - 1][p - 1] += wv
+                row = work_ps[s - 1]
+                row[p - 1] += wv
                 sup_tot[s - 1] += wv
-                if work_ps[s - 1][p - 1] > sup_max[s - 1]:
-                    supmax_undo.append((s - 1, sup_max[s - 1]))
-                    sup_max[s - 1] = work_ps[s - 1][p - 1]
-                if p > used_hi[0]:
-                    used_hi[0] = p
-            remaining[0] -= wv
+                old = sup_max[s - 1]
+                if row[p - 1] > old:
+                    supmax_undo.append((s - 1, old))
+                    sup_max[s - 1] = row[p - 1]
+                    ssum += row[p - 1] - old
+                    if not old:
+                        empties -= 1
+                if p > used_hi:
+                    used_hi = p
+            placed_w += wv * len(copies)
+            rem -= wv
+            if duplication:
+                return (supmax_undo, prev_used, None, None, None)
+            (pv, sv) = copies[0]
+            # v leaves the tail; its successors can start no earlier than sv
+            tail_w[est[v]] -= wv
+            est_undo = []
+            stack = list(succ[v])
+            while stack:
+                x = stack.pop()
+                e = est[x]
+                if e < sv:
+                    est_undo.append((x, e))
+                    est[x] = sv
+                    tail_w[e] -= w[x]
+                    tail_w[sv] += w[x]
+                    stack.extend(succ[x])
             pair_undo = []
-            if not duplication:
-                (pv, sv) = copies[0]
-                for u in pred[v]:
-                    (pu, su) = placed[u][0]
-                    if pu == pv:
-                        continue
-                    pair = (u, pv)
-                    old = pair_need.get(pair)
-                    if old is not None and old <= sv:
-                        continue
-                    pair_undo.append((pair, old))
-                    if old is not None:
-                        _cnt_update(pair, old, -1)
-                    pair_need[pair] = sv
-                    _cnt_update(pair, sv, +1)
-            return (supmax_undo, prev_used, pair_undo)
+            for u in pred[v]:
+                if placed[u][0][0] == pv:
+                    continue
+                old = need[u][pv]
+                if old <= sv:
+                    continue
+                # an earlier need confines the pair to more intervals
+                need[u][pv] = sv
+                _count(u, pv, sv - 1, old - 1, +1)
+                pair_undo.append((u, old))
+            exact_undo = (comm_floor, comm_exact)
+            if pair_undo:
+                comm_exact = False
+            return (supmax_undo, prev_used, est_undo, pair_undo, exact_undo)
 
         def _unapply(v: int, copies, undo):
-            (supmax_undo, prev_used, pair_undo) = undo
-            wv = dag.w_work(v)
-            for (pair, old) in reversed(pair_undo):
-                _cnt_update(pair, pair_need[pair], -1)
-                if old is None:
-                    del pair_need[pair]
-                else:
-                    pair_need[pair] = old
-                    _cnt_update(pair, old, +1)
+            nonlocal ssum, placed_w, rem, used_hi, empties
+            nonlocal comm_floor, comm_exact
+            (supmax_undo, prev_used, est_undo, pair_undo, exact_undo) = undo
+            wv = w[v]
+            if not duplication:
+                (pv, sv) = copies[0]
+                for (u, old) in reversed(pair_undo):
+                    _count(u, pv, sv - 1, old - 1, -1)
+                    need[u][pv] = old
+                (comm_floor, comm_exact) = exact_undo
+                for (x, e) in reversed(est_undo):
+                    est[x] = e
+                    tail_w[sv] -= w[x]
+                    tail_w[e] += w[x]
+                tail_w[est[v]] += wv
             del placed[v]
             for (p, s) in copies:
                 work_ps[s - 1][p - 1] -= wv
                 sup_tot[s - 1] -= wv
-            for (idx, old) in reversed(supmax_undo):
-                sup_max[idx] = old
-            used_hi[0] = prev_used
-            remaining[0] += wv
+            for (s, old) in reversed(supmax_undo):
+                ssum += old - sup_max[s]
+                sup_max[s] = old
+                if not old:
+                    empties += 1
+            used_hi = prev_used
+            placed_w -= wv * len(copies)
+            rem += wv
 
         place(0)
 
@@ -624,49 +654,41 @@ def brute_opt_timed(
     order = dag.topo_order()
     pred = dag.pred()
     succ = dag.succ()
+    w = [0] + [dag.w_work(v) for v in range(1, n + 1)]
     total = dag.total_work()
-    ef: Dict[int, int] = {}
+    ef = [0] * (n + 1)
     for v in order:
-        ef[v] = dag.w_work(v) + max((ef[u] for u in pred[v]), default=0)
-    lp_from: Dict[int, int] = {}
+        ef[v] = w[v] + max((ef[u] for u in pred[v]), default=0)
+    lp_from = [0] * (n + 1)
     for v in reversed(order):
-        lp_from[v] = dag.w_work(v) + max((lp_from[x] for x in succ[v]), default=0)
-    lb = max(max(ef.values()), -(-total // P))
+        lp_from[v] = w[v] + max((lp_from[x] for x in succ[v]), default=0)
+    lb = max(max(ef), -(-total // P))
     horizon_cap = budget.max_time_horizon or n * (1 + g)
     barrier = model == "classical_barrier"
     delay = g if model in ("commdelay", "spd") else 0
 
     def feasible(T: int) -> Optional[TimedSchedule]:
-        ls = {v: T - lp_from[v] + 1 for v in order}
-        busy = [set() for _ in range(P + 1)]
+        ls = [T - lp_from[v] + 1 for v in range(n + 1)]
+        busy = [0] * (P + 1)  # bit t set while slot t of processor p is taken
         placed: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         comms: List[Tuple[int, int, int, int]] = []
-        blocked: Dict[int, int] = {}  # barrier boundaries straddled so far
+        blocked = [0] * (T + 2)  # copies straddling each barrier boundary
 
         def add_copy(v, p, t):
-            w = dag.w_work(v)
-            busy[p].update(range(t, t + w))
-            for b in range(t, t + w - 1):
-                blocked[b] = blocked.get(b, 0) + 1
+            busy[p] |= ((1 << w[v]) - 1) << t
+            for b in range(t, t + w[v] - 1):
+                blocked[b] += 1
 
         def drop_copy(v, p, t):
-            w = dag.w_work(v)
-            busy[p].difference_update(range(t, t + w))
-            for b in range(t, t + w - 1):
+            busy[p] &= ~(((1 << w[v]) - 1) << t)
+            for b in range(t, t + w[v] - 1):
                 blocked[b] -= 1
-                if not blocked[b]:
-                    del blocked[b]
 
-        def copy_ok(v, p, t) -> bool:
-            if t < 1 or t > ls[v]:
-                return False
-            w = dag.w_work(v)
-            if any(slot in busy[p] for slot in range(t, t + w)):
-                return False
+        def prec_ok(v, p, t) -> bool:
             for u in pred[v]:
                 sat = False
                 for (pu, tu) in placed[u]:
-                    done = tu + dag.w_work(u)
+                    done = tu + w[u]
                     if pu == p:
                         if done <= t:
                             sat = True
@@ -677,12 +699,30 @@ def brute_opt_timed(
                             sat = True
                             break
                         # boundaries only ever get more blocked; leaf re-checks
-                        if any(b not in blocked for b in range(done - 1, t)):
+                        if any(not blocked[b] for b in range(done - 1, t)):
                             sat = True
                             break
                 if not sat:
                     return False
             return True
+
+        def starts(v, p) -> List[int]:
+            """Feasible start times of a copy of v on p, in increasing order.
+            A later start only makes precedence easier (under barriers too:
+            the boundary range only widens), so the probe begins at the
+            earliest time every predecessor's value can be on p."""
+            t = 1
+            for u in pred[v]:
+                avail = min(tu + w[u] + (0 if pu == p else delay)
+                            for (pu, tu) in placed[u])
+                if avail > t:
+                    t = avail
+            if barrier:
+                while t <= ls[v] and not prec_ok(v, p, t):
+                    t += 1
+            mask = (1 << w[v]) - 1
+            free = busy[p]
+            return [s for s in range(t, ls[v] + 1) if not (free >> s) & mask]
 
         def leaf() -> Optional[TimedSchedule]:
             ts = TimedSchedule(P, dict(placed), frozenset(comms))
@@ -694,12 +734,13 @@ def brute_opt_timed(
                 rep, mk = check_spd(dag, ts, g)
             return ts if rep.valid and mk <= T else None
 
-        def spd_comms(v: int, p: int, t: int, edges, k: int) -> Optional[TimedSchedule]:
+        def spd_comms(idx: int, used: int, p: int, t: int, edges,
+                      k: int) -> Optional[TimedSchedule]:
             if k == len(edges):
-                return place(order.index(v) + 1)
+                return place(idx + 1, used)
             u = edges[k]
             (pu, tu) = placed[u][0]
-            lo = tu + dag.w_work(u) - 1
+            lo = tu + w[u] - 1
             hi = t - g - 1
             for t0 in range(lo, hi + 1):
                 if any(
@@ -708,34 +749,30 @@ def brute_opt_timed(
                 ):
                     continue
                 comms.append((u, pu, p, t0))
-                found = spd_comms(v, p, t, edges, k + 1)
+                found = spd_comms(idx, used, p, t, edges, k + 1)
                 if found is not None:
                     return found
                 comms.pop()
             return None
 
-        def place(idx: int) -> Optional[TimedSchedule]:
+        def place(idx: int, used: int) -> Optional[TimedSchedule]:
+            """Place order[idx:]; used is the highest processor in use."""
             counter.tick()
-            if idx == len(order):
+            if idx == n:
                 return leaf()
             v = order[idx]
-            used = max(
-                (p for cs in placed.values() for (p, _) in cs), default=0
-            )
             if not duplication:
                 for p in range(1, min(used + 1, P) + 1):
-                    for t in range(1, ls[v] + 1):
-                        if not copy_ok(v, p, t):
-                            continue
+                    for t in starts(v, p):
                         placed[v] = ((p, t),)
                         add_copy(v, p, t)
                         if model == "spd":
                             cross = [
                                 u for u in pred[v] if placed[u][0][0] != p
                             ]
-                            found = spd_comms(v, p, t, cross, 0)
+                            found = spd_comms(idx, max(used, p), p, t, cross, 0)
                         else:
-                            found = place(idx + 1)
+                            found = place(idx + 1, max(used, p))
                         drop_copy(v, p, t)
                         del placed[v]
                         if found is not None:
@@ -752,7 +789,7 @@ def brute_opt_timed(
                     hi = max(touched | {used})
                     if set(range(used + 1, hi + 1)) <= touched:
                         placed[v] = tuple(chosen)
-                        found = place(idx + 1)
+                        found = place(idx + 1, hi)
                         del placed[v]
                         if found is not None:
                             found_result[0] = found
@@ -760,9 +797,7 @@ def brute_opt_timed(
                 if len(chosen) >= P:
                     return
                 for p in range(start_p, P + 1):
-                    for t in range(1, ls[v] + 1):
-                        if not copy_ok(v, p, t):
-                            continue
+                    for t in starts(v, p):
                         add_copy(v, p, t)
                         grow(p + 1, chosen + [(p, t)])
                         drop_copy(v, p, t)
@@ -772,7 +807,7 @@ def brute_opt_timed(
             grow(1, [])
             return found_result[0]
 
-        return place(0)
+        return place(0, 0)
 
     for T in range(lb, total + 1):
         if T > horizon_cap:

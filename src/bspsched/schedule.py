@@ -301,12 +301,15 @@ def cost(
 ) -> CostBreakdown:
     """BSP cost sum_s [work(s) + g*h(s)] + L*#{s : h(s) > 0}. Schedules with
     edge_comms are priced edge by edge, one unit per tuple, whatever the
-    model; the others per value with the model's cast. A tuple naming a node
-    outside the DAG is an error."""
+    model; the others per value with the model's cast. An assignment entry
+    or a tuple naming a node outside the DAG is an error."""
     P, S = sched.processor_count, sched.superstep_count
     if sched.edge_comms and sched.comms:
         raise ScheduleError("both node and edge comm tuples present")
     n = dag.node_count
+    for v in sched.assign:
+        if not 1 <= v <= n:
+            raise ScheduleError(f"node {v} is assigned but lies outside the DAG")
     for t in sched.comms or sched.edge_comms:
         if not (1 <= t[0] <= n and 1 <= t[-4] <= n):  # t[-4] is v in (u, v, p1, p2, s)
             raise ScheduleError(f"comm tuple {t} names a node outside the DAG")

@@ -6,6 +6,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from bspsched.chains import ChainDecomposition, solve_chain
 from bspsched.commsched import (
     CsError,
@@ -184,55 +186,80 @@ def test_criterion_04_comm_greedy_optimal_300_random_under_2min():
 
 # ------------------------------------------------------- criteria 5, 6 and 9
 
-# dominance records shared with criterion 9: (label, ordered optima chains)
-_DOMINANCE = []
+# The optima of criteria 5 and 6 are computed once per module by fixtures,
+# so criterion 9 can check model dominance over the same runs when it is run
+# on its own or in any order.
 
 
-def test_criterion_05_sandwich_200_random_under_5min():
+@pytest.fixture(scope="module")
+def sandwich_runs():
+    """Criterion 5's searches on 200 random DAGs: per DAG (n, P, optima by
+    BSP model, classical and commdelay makespans, plain BSP optimum at
+    L = 0), and the seconds the searches took."""
     start = time.monotonic()
     rng = random.Random(20242)
+    runs = []
     for i in range(200):
         n = rng.randrange(2, 8)
         dag = random_dag(n, 0.4, rng)
         P = 2 + i % 2
         g = 1 + i % 2
         L = i % 2
-        floor = -(-n // P)
-        opts = {}
-        for code, model in MODELS.items():
-            _, opts[code] = brute_opt_bsp(dag, P, g, L, model)
-            assert floor <= opts[code] <= n
+        opts = {code: brute_opt_bsp(dag, P, g, L, model)[1]
+                for code, model in MODELS.items()}
         _, classical = brute_opt_timed(dag, P, 1, "classical")
         _, commdelay = brute_opt_timed(dag, P, g, "commdelay")
         _, bsp = brute_opt_bsp(dag, P, g, 0)
-        for span in (classical, commdelay):
-            assert floor <= span <= n
-        _DOMINANCE.append(("bsp-models", (opts["fb"], opts["fs"], opts["ds"])))
-        _DOMINANCE.append(("bsp-models", (opts["fb"], opts["db"], opts["ds"])))
-        _DOMINANCE.append(("timed-chain", (classical, commdelay, bsp)))
-    assert time.monotonic() - start < 300
+        runs.append((n, P, opts, classical, commdelay, bsp))
+    return runs, time.monotonic() - start
 
 
-def test_criterion_06_taxonomy_ratios_under_10min():
+@pytest.fixture(scope="module")
+def taxonomy_runs():
+    """Criterion 6's exact optima: (ell, g, classical, commdelay) on narrow
+    grids, (g, k, overlap, plain) on the overlap family, and the seconds the
+    searches took."""
     start = time.monotonic()
-    # (a) pipelining delay of communication-delay scheduling on narrow grids
+    grids = []
     g = 1
     for ell in range(2, 6):
         dag = gen_layered(ell, 3, "adjacent")
         budget = OracleBudget(max_nodes=15)
         _, classical = brute_opt_timed(dag, 3, g, "classical", budget)
         _, commdelay = brute_opt_timed(dag, 3, g, "commdelay", budget)
-        assert Fraction(commdelay, classical) == Fraction((ell - 1) * (1 + g) + 1, ell)
-        _DOMINANCE.append(("timed-pair", (classical, commdelay)))
-    # (b) overlap family: hiding communication under computation halves cost
+        grids.append((ell, g, classical, commdelay))
+    overlaps = []
     g = 2
     for k in (1, 2):
         dag = gen_taxonomy_fixture("two_minus_eps", g=g, k=k, p=3)
         budget = OracleBudget(max_nodes=30, node_budget=10**10)
         _, overlap = brute_opt_bsp(dag, 3, g, 0, budget=budget, maxbsp=True)
         _, plain = brute_opt_bsp(dag, 3, g, 0, budget=budget)
+        overlaps.append((g, k, overlap, plain))
+    return grids, overlaps, time.monotonic() - start
+
+
+def test_criterion_05_sandwich_200_random_under_5min(sandwich_runs):
+    runs, seconds = sandwich_runs
+    assert len(runs) == 200
+    for n, P, opts, classical, commdelay, _ in runs:
+        floor = -(-n // P)
+        for opt in opts.values():
+            assert floor <= opt <= n
+        for span in (classical, commdelay):
+            assert floor <= span <= n
+    assert seconds < 300
+
+
+def test_criterion_06_taxonomy_ratios_under_10min(taxonomy_runs):
+    start = time.monotonic()
+    grids, overlaps, seconds = taxonomy_runs
+    # (a) pipelining delay of communication-delay scheduling on narrow grids
+    for ell, g, classical, commdelay in grids:
+        assert Fraction(commdelay, classical) == Fraction((ell - 1) * (1 + g) + 1, ell)
+    # (b) overlap family: hiding communication under computation halves cost
+    for g, k, overlap, plain in overlaps:
         assert Fraction(plain, overlap) == Fraction(1 + 2 * g * k, 1 + g * k)
-        _DOMINANCE.append(("overlap-pair", (overlap, plain)))
     # (c) round-trip: timed schedules with explicit ports map into supersteps
     rng = random.Random(20243)
     solved = 0
@@ -245,7 +272,7 @@ def test_criterion_06_taxonomy_ratios_under_10min():
         assert check_validity(dag, sched, DS).valid
         assert cost(dag, sched, DS, MachineParams(g, 0)).cost <= 2 * ms
         solved += 1
-    assert time.monotonic() - start < 600
+    assert seconds + time.monotonic() - start < 600
 
 
 # ---------------------------------------------------------------- criterion 7
@@ -300,9 +327,17 @@ def test_criterion_08_ilp_matches_oracle_under_10min():
 
 # ---------------------------------------------------------------- criterion 9
 
-def test_criterion_09_model_dominance_over_collected_runs():
-    assert _DOMINANCE, "criteria 5 and 6 populate the dominance record"
-    for label, chain in _DOMINANCE:
+def test_criterion_09_model_dominance_over_collected_runs(sandwich_runs, taxonomy_runs):
+    chains = []
+    for _, _, opts, classical, commdelay, bsp in sandwich_runs[0]:
+        chains.append(("bsp-models", (opts["fb"], opts["fs"], opts["ds"])))
+        chains.append(("bsp-models", (opts["fb"], opts["db"], opts["ds"])))
+        chains.append(("timed-chain", (classical, commdelay, bsp)))
+    grids, overlaps, _ = taxonomy_runs
+    chains += [("timed-pair", (classical, commdelay)) for _, _, classical, commdelay in grids]
+    chains += [("overlap-pair", (overlap, plain)) for _, _, overlap, plain in overlaps]
+    assert len(chains) == 3 * 200 + 4 + 2
+    for label, chain in chains:
         for lo, hi in zip(chain, chain[1:]):
             assert lo <= hi, (label, chain)
 

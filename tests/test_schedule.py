@@ -121,6 +121,17 @@ def test_cost_rejects_comm_tuple_for_unknown_node():
         cost(EDGE2, edge, DS, MachineParams(1, 0))
 
 
+def test_cost_rejects_assignment_for_unknown_node():
+    assign = single({1: (1, 1), 2: (2, 2)})
+    sched = BspSchedule(2, 2, assign, frozenset({(1, 1, 2, 1)}))
+    assert cost(EDGE2, sched, DS, MachineParams(1, 0)).work_total == 2
+    assign[99] = ((1, 1),)
+    bad = BspSchedule(2, 2, assign, frozenset({(1, 1, 2, 1)}))
+    for model in MODELS.values():
+        with pytest.raises(ScheduleError, match="node 99"):
+            cost(EDGE2, bad, model, MachineParams(1, 0))
+
+
 def test_parse_rejects_unknown_node_with_line_number():
     text = "p 1 1\ns 1 1\np 2 2\ns 2 2\nt 3 1 2 1\n"
     with pytest.raises(ScheduleError, match="line 5"):
