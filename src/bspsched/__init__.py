@@ -72,7 +72,7 @@ from .ilp import (  # noqa: F401
     check_assignment,
     count_vars_constraints,
     emit_ilp,
-    exhaustive_min,
+    encode_schedule,
     parse_solution,
     read_solution,
     render_lp,

@@ -15,6 +15,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .dag import Dag, classify
 from .schedule import BspSchedule, CommModel, DS
 
+# the exact chain searches refuse larger machines: their enumeration grows
+# exponentially in P
+MAX_P = 3
+
 
 class ChainError(Exception):
     pass
@@ -567,14 +571,14 @@ def _build_schedule(dec, P, S, base, T, rep, placements, avail, root_plan):
 
 
 def solve_chain(
-    dec: ChainDecomposition, P: int, g: int, L: int, max_p: int = 3
+    dec: ChainDecomposition, P: int, g: int, L: int
 ) -> Tuple[BspSchedule, int]:
     """Exact minimum BSP cost for a chain DAG (direct singlecast semantics;
     transfers are single chain handoffs, so all four models coincide)."""
     if dec.root is not None:
         raise ChainError("chain solver expects no root; use the connected solver")
-    if P > max_p:
-        raise ChainError(f"P={P} exceeds the configured limit ({max_p})")
+    if P > MAX_P:
+        raise ChainError(f"P={P} exceeds the limit ({MAX_P})")
     if P < 1:
         raise ChainError("P must be >= 1")
     return _chain_search(dec, P, g, L, DS)
@@ -586,14 +590,13 @@ def solve_connected_chain(
     g: int,
     L: int,
     model: CommModel = DS,
-    max_p: int = 3,
 ) -> Tuple[BspSchedule, int]:
     """Exact minimum BSP cost for a connected chain DAG under the given
     communication model; the root may be broadcast or relayed per model."""
     if dec.root is None:
         raise ChainError("connected solver requires a root")
-    if P > max_p:
-        raise ChainError(f"P={P} exceeds the configured limit ({max_p})")
+    if P > MAX_P:
+        raise ChainError(f"P={P} exceeds the limit ({MAX_P})")
     if P < 1:
         raise ChainError("P must be >= 1")
     return _chain_search(dec, P, g, L, model)

@@ -4,9 +4,9 @@ Binary variables comp/pres describe where each value is computed and where it
 is present; model-specific communication variables (sent/rec, comm, or
 rec/senttimes) describe the communication phases; integer cost variables link
 the binaries to the BSP objective. The module emits models, renders them in
-the textual LP format, reconstructs schedules from solution files, counts
-variables and constraints in closed form, and exhaustively minimizes tiny
-models for cross-checking.
+the textual LP format, reconstructs schedules from solution files, encodes
+schedules as assignments (so that a known optimum can be checked against the
+emitted constraints), and counts variables and constraints in closed form.
 
 Exact variable and constraint counts (n nodes, m edges):
   common vars:        2nPS (comp, pres) + S (used) + 3PS + 2S (cost vars)
@@ -31,7 +31,6 @@ from .schedule import (
     comm_loads,
     cost,
     normalize,
-    work_loads,
 )
 
 
@@ -605,181 +604,55 @@ def check_assignment(
     return bad
 
 
-# ---------------------------------------------------------------------------
-# exhaustive minimization for tiny models
-
-
-def exhaustive_min(
-    model: IlpModel,
-    pin: Optional[Dict[int, Tuple[int, int]]] = None,
-) -> Tuple[Dict[str, int], int]:
-    """Minimum objective over all feasible 0/1 assignments, by structured
-    search: enumerate computation patterns, then minimal delivery plans per
-    cross (value, target) pair; presence is set to its maximal closure and
-    cost variables to their lower bounds, which preserves the minimum.
-
-    pin optionally fixes comp for some nodes (value -> (processor, superstep)).
-    """
-    from itertools import product
-
-    from .commsched import CsError, CsInstance, _relay_paths, cross_requirements
-
+def encode_schedule(model: IlpModel, sched: BspSchedule) -> Dict[str, int]:
+    """The assignment that encodes a schedule, the inverse of read_solution:
+    comp (and home under direct transfer) for every copy, the communication
+    variables from the tuples, presence at its maximal closure, and the cost
+    variables at the schedule's loads as the superstep-accounting kernel
+    counts them. Whether the point is feasible is check_assignment's to say."""
     dag, P, S = model.dag, model.P, model.S
     if dag is None or model.model is None:
         raise IlpError("model lacks build context")
-    if model.duplication:
-        raise IlpError("exhaustive minimization covers single-copy models only")
+    if sched.processor_count != P or sched.superstep_count > S or sched.edge_comms:
+        raise IlpError("schedule does not fit the model's processors and supersteps")
     n = dag.node_count
+    for v in set(sched.assign) | {t[0] for t in sched.comms}:
+        if not 1 <= v <= n:
+            raise IlpError(f"node {v} lies outside the DAG")
     cm = model.model
-    g, L = model.g, model.L
-    free = cm.transfer == "free"
-    broadcast = cm.cast == "broadcast"
-    pin = pin or {}
-
-    slots = [(p, s) for p in range(1, P + 1) for s in range(1, S + 1)]
-    choices = [
-        [pin[v]] if v in pin else slots for v in range(1, n + 1)
-    ]
-
-    best_cost: Optional[int] = None
-    best_state: Optional[Tuple] = None
-
-    for combo in product(*choices):
-        assign = {v: (combo[v - 1],) for v in range(1, n + 1)}
-        try:
-            inst = CsInstance(dag, P, S, assign)
-        except CsError:
-            continue
-        work_total = sum(work_loads(dag, P, S, assign))
-        if best_cost is not None and work_total >= best_cost:
-            continue
-        reqs = cross_requirements(inst)
-        options = []
-        feasible = True
-        for req in reqs:
-            (p1, s1) = assign[req.value][0]
-            opts = [
-                frozenset([(req.value, p1, req.target, s)])
-                for s in range(s1, req.first_need)
-            ]
-            if free:
-                opts += _relay_paths(
-                    inst, req.value, p1, s1, req.target, req.first_need
-                )
-            if not opts:
-                feasible = False
-                break
-            options.append(opts)
-        if not feasible:
-            continue
-
-        def evaluate(tuples) -> int:
-            _, _, h = comm_loads(dag, P, S, tuples, broadcast)
-            return work_total + g * sum(h) + L * sum(1 for c in h if c > 0)
-
-        def search(i: int, tuples: frozenset):
-            nonlocal best_cost, best_state
-            val = evaluate(tuples)
-            if best_cost is not None and val >= best_cost:
-                return
-            if i == len(options):
-                best_cost = val
-                best_state = (dict(assign), frozenset(tuples))
-                return
-            for opt in options[i]:
-                search(i + 1, tuples | opt)
-
-        search(0, frozenset())
-
-    if best_cost is None:
-        raise IlpError("no feasible assignment within the superstep bound")
-    return _assignment_from_state(model, best_state), best_cost
-
-
-def _assignment_from_state(model: IlpModel, state) -> Dict[str, int]:
-    """Full variable assignment from (node assignment, comm tuples): maximal
-    presence closure, cost variables at their lower bounds."""
-    assign, tuples = state
-    dag, P, S = model.dag, model.P, model.S
-    cm = model.model
-    n = dag.node_count
     direct = cm.transfer == "direct"
     broadcast = cm.cast == "broadcast"
-    ds = direct and not broadcast
     fs = (not direct) and not broadcast
 
     vals: Dict[str, int] = {name: 0 for (name, _) in model.variables}
-    for v, ((p, s),) in assign.items():
-        vals[f"comp_{v}_{p}_{s}"] = 1
-        if direct:
-            vals[f"home_{v}_{p}"] = 1
-    for (v, p1, p2, s) in tuples:
+    first: Dict[Tuple[int, int], int] = {}  # (v, p) -> first superstep present
+    for v, copies in sched.assign.items():
+        for (p, s) in copies:
+            vals[f"comp_{v}_{p}_{s}"] = 1
+            vals[f"cwork_{s}_{p}"] += dag.w_work(v)
+            if direct:
+                vals[f"home_{v}_{p}"] = 1
+            first[(v, p)] = min(first.get((v, p), s), s)
+    for (v, p1, p2, s) in sched.comms:
         if fs:
             vals[f"comm_{v}_{p1}_{p2}_{s}"] = 1
         else:
             vals[f"rec_{v}_{p2}_{s}"] = 1
-            if broadcast:
-                vals[f"sent_{v}_{p1}_{s}"] = 1
-            else:
-                vals[f"senttimes_{v}_{p1}_{s}"] += 1
-        vals[f"used_{s}"] = 1
+        if broadcast:
+            vals[f"sent_{v}_{p1}_{s}"] = 1
+        elif direct:
+            vals[f"senttimes_{v}_{p1}_{s}"] += 1
+        first[(v, p2)] = min(first.get((v, p2), s + 1), s + 1)
+    for (v, p), s0 in first.items():
+        for s in range(s0, S + 1):
+            vals[f"pres_{v}_{p}_{s}"] = 1
 
-    for v in range(1, n + 1):
-        for p in range(1, P + 1):
-            have = False
-            for s in range(1, S + 1):
-                if not have and s > 1:
-                    if fs:
-                        have = any(
-                            vals[f"comm_{v}_{p1}_{p}_{s - 1}"]
-                            for p1 in range(1, P + 1) if p1 != p
-                        )
-                    else:
-                        have = bool(vals[f"rec_{v}_{p}_{s - 1}"])
-                if vals[f"comp_{v}_{p}_{s}"]:
-                    have = True
-                if have:
-                    vals[f"pres_{v}_{p}_{s}"] = 1
-
+    sent, rec, h = comm_loads(dag, P, S, sched.comms, broadcast)
     for s in range(1, S + 1):
-        wmax = 0
-        cmax = 0
+        vals[f"cwork_{s}"] = max(vals[f"cwork_{s}_{p}"] for p in range(1, P + 1))
         for p in range(1, P + 1):
-            w = sum(
-                dag.w_work(v) * vals[f"comp_{v}_{p}_{s}"] for v in range(1, n + 1)
-            )
-            vals[f"cwork_{s}_{p}"] = w
-            wmax = max(wmax, w)
-            if ds:
-                snt = sum(
-                    dag.w_comm(v) * vals[f"senttimes_{v}_{p}_{s}"]
-                    for v in range(1, n + 1)
-                )
-            elif fs:
-                snt = sum(
-                    dag.w_comm(v) * vals[f"comm_{v}_{p}_{p2}_{s}"]
-                    for v in range(1, n + 1)
-                    for p2 in range(1, P + 1) if p2 != p
-                )
-            else:
-                snt = sum(
-                    dag.w_comm(v) * vals[f"sent_{v}_{p}_{s}"]
-                    for v in range(1, n + 1)
-                )
-            if fs:
-                rcv = sum(
-                    dag.w_comm(v) * vals[f"comm_{v}_{p1}_{p}_{s}"]
-                    for v in range(1, n + 1)
-                    for p1 in range(1, P + 1) if p1 != p
-                )
-            else:
-                rcv = sum(
-                    dag.w_comm(v) * vals[f"rec_{v}_{p}_{s}"]
-                    for v in range(1, n + 1)
-                )
-            vals[f"csent_{s}_{p}"] = snt
-            vals[f"crec_{s}_{p}"] = rcv
-            cmax = max(cmax, snt, rcv)
-        vals[f"cwork_{s}"] = wmax
-        vals[f"ccomm_{s}"] = cmax
+            vals[f"csent_{s}_{p}"] = sent[s - 1][p - 1]
+            vals[f"crec_{s}_{p}"] = rec[s - 1][p - 1]
+        vals[f"ccomm_{s}"] = h[s - 1]
+        vals[f"used_{s}"] = int(h[s - 1] > 0)
     return vals

@@ -204,7 +204,6 @@ def _complete_and_cost(
     model: CommModel,
     params: MachineParams,
     maxbsp: bool,
-    exact: bool,
 ) -> Optional[Tuple[BspSchedule, int]]:
     """Attach a communication set to a bare assignment and price it."""
     try:
@@ -221,16 +220,12 @@ def _complete_and_cost(
             full = BspSchedule(sched.processor_count, sched.superstep_count,
                                sched.assign, comms=gamma)
             return full, total
-        if exact and inst.P == 2 and unit and all(
+        if inst.P == 2 and unit and all(
             len(c) == 1 for c in sched.assign.values()
         ):
             gamma = cs_greedy_p2(inst)
-        elif exact:
-            gamma, _ = cs_bruteforce(inst, model, limit=64)
         else:
-            from .commsched import cs_eager
-
-            gamma = cs_eager(inst)
+            gamma, _ = cs_bruteforce(inst, model, limit=64)
     except CsError:
         return None
     full = BspSchedule(sched.processor_count, sched.superstep_count,
@@ -266,7 +261,7 @@ def brute_opt_bsp(
     # incumbent seeds (cheap upper bounds; always valid schedules)
     if not duplication:
         for seed in _seed_schedules(dag, P, maxbsp):
-            done = _complete_and_cost(dag, seed, model, params, maxbsp, exact=True)
+            done = _complete_and_cost(dag, seed, model, params, maxbsp)
             if done is not None:
                 consider(*done)
     else:
@@ -343,7 +338,6 @@ def brute_opt_bsp(
         placed_w = 0  # sum of sup_tot: work of the placed copies
         rem = total_work  # work of the unplaced nodes
         used_hi = 0
-        empties = S  # supersteps without work
         # earliest feasible superstep of each unplaced node (single-copy
         # searches); it only rises as predecessors are placed. tail_w[s] is
         # the unplaced work whose earliest superstep is s.
@@ -447,15 +441,9 @@ def brute_opt_bsp(
             counter.tick()
             if best[1] is not None and lower_bound(best[1]) >= best[1]:
                 return
-            if direct and not maxbsp and not duplication:
-                # compute-free supersteps merge away; the unplaced nodes
-                # must be able to fill every still-empty superstep
-                if empties > n - idx:
-                    return
             if idx == n:
                 sched = BspSchedule(P, S, dict(placed))
-                done = _complete_and_cost(dag, sched, model, params, maxbsp,
-                                          exact=True)
+                done = _complete_and_cost(dag, sched, model, params, maxbsp)
                 if done is not None:
                     consider(*done)
                 return
@@ -523,7 +511,7 @@ def brute_opt_bsp(
             return opts
 
         def _apply(v: int, copies):
-            nonlocal ssum, placed_w, rem, used_hi, empties, comm_exact
+            nonlocal ssum, placed_w, rem, used_hi, comm_exact
             placed[v] = copies
             wv = w[v]
             supmax_undo = []
@@ -537,8 +525,6 @@ def brute_opt_bsp(
                     supmax_undo.append((s - 1, old))
                     sup_max[s - 1] = row[p - 1]
                     ssum += row[p - 1] - old
-                    if not old:
-                        empties -= 1
                 if p > used_hi:
                     used_hi = p
             placed_w += wv * len(copies)
@@ -576,7 +562,7 @@ def brute_opt_bsp(
             return (supmax_undo, prev_used, est_undo, pair_undo, exact_undo)
 
         def _unapply(v: int, copies, undo):
-            nonlocal ssum, placed_w, rem, used_hi, empties
+            nonlocal ssum, placed_w, rem, used_hi
             nonlocal comm_floor, comm_exact
             (supmax_undo, prev_used, est_undo, pair_undo, exact_undo) = undo
             wv = w[v]
@@ -598,8 +584,6 @@ def brute_opt_bsp(
             for (s, old) in reversed(supmax_undo):
                 ssum += old - sup_max[s]
                 sup_max[s] = old
-                if not old:
-                    empties += 1
             used_hi = prev_used
             placed_w -= wv * len(copies)
             rem += wv
@@ -819,6 +803,9 @@ def brute_opt_timed(
 
 
 RATIO_HEADER = "construction,params,model,opt,ratio"
+# the parameters each ratio construction reads from a grid cell
+_RATIO_CELL_KEYS = {"layered": ("length", "width", "P", "g"),
+                   "two_minus_eps": ("g", "k", "P")}
 
 
 def ratio_report(
@@ -835,6 +822,12 @@ def ratio_report(
     from .dag import gen_layered, gen_taxonomy_fixture
 
     budget = budget or OracleBudget.from_env()
+    if construction not in _RATIO_CELL_KEYS:
+        raise ValueError(f"unknown construction {construction!r}")
+    for cell in grid:
+        missing = [k for k in _RATIO_CELL_KEYS[construction] if k not in cell]
+        if missing:
+            raise ValueError(f"{construction} cell lacks {', '.join(missing)}")
 
     def cell_rows(cell: Dict[str, int]):
         params_str = ";".join(f"{k}={cell[k]}" for k in sorted(cell))
@@ -845,7 +838,7 @@ def ratio_report(
                 _, opt_a = brute_opt_timed(dagx, P, g, "classical", budget)
                 _, opt_b = brute_opt_timed(dagx, P, g, "commdelay", budget)
                 pairs = [("classical", opt_a), ("commdelay", opt_b)]
-            elif construction == "two_minus_eps":
+            else:
                 dagx = gen_taxonomy_fixture(
                     "two_minus_eps", g=cell["g"], k=cell["k"], p=cell["P"]
                 )
@@ -853,8 +846,6 @@ def ratio_report(
                 _, opt_a = brute_opt_bsp(dagx, P, g, 0, DS, budget, maxbsp=True)
                 _, opt_b = brute_opt_bsp(dagx, P, g, 0, DS, budget)
                 pairs = [("maxbsp", opt_a), ("bsp", opt_b)]
-            else:
-                raise ValueError(f"unknown construction {construction!r}")
         except BudgetExceeded:
             return [(construction, params_str, "-", "skipped", "")]
         base = pairs[0][1]

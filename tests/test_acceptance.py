@@ -27,9 +27,10 @@ from bspsched.hrelation import (
     weighted_counterexample,
 )
 from bspsched.ilp import (
+    check_assignment,
     count_vars_constraints,
     emit_ilp,
-    exhaustive_min,
+    encode_schedule,
     read_solution,
 )
 from bspsched.oracle import OracleBudget, brute_opt_bsp, brute_opt_timed
@@ -303,6 +304,9 @@ def _all_dags(n):
 
 
 def test_criterion_08_ilp_matches_oracle_under_10min():
+    """The oracle's optimum, encoded, is a feasible point of the emitted model
+    whose objective is that optimum, so the ILP's optimum is no larger; the
+    HiGHS test below checks that it is no smaller."""
     start = time.monotonic()
     P, S = 2, 3
     oracle_budget = OracleBudget(max_s=S)
@@ -314,15 +318,66 @@ def test_criterion_08_ilp_matches_oracle_under_10min():
                     count_vars_constraints(dag, P, S, model)
                 for g, L in ((1, 0), (1, 1), (2, 0), (2, 1)):
                     built = emit_ilp(dag, P, S=S, g=g, L=L, model=model)
-                    assignment, obj = exhaustive_min(built)
-                    _, want = brute_opt_bsp(dag, P, g, L, model,
-                                            budget=oracle_budget)
-                    assert obj == want
-                    sched, total = read_solution(built, assignment)
-                    assert total == obj
-                    assert check_validity(dag, sched, model).valid
-                    assert cost(dag, sched, model, MachineParams(g, L)).cost == obj
+                    sched, opt = brute_opt_bsp(dag, P, g, L, model,
+                                               budget=oracle_budget)
+                    assignment = encode_schedule(built, sched)
+                    assert check_assignment(built, assignment) == []
+                    got, total = read_solution(built, assignment)
+                    assert total == opt
+                    assert check_validity(dag, got, model).valid
+                    assert cost(dag, got, model, MachineParams(g, L)).cost == opt
     assert time.monotonic() - start < 600
+
+
+def _solve_with_highs(built):
+    """Optimal assignment of an IlpModel by scipy's HiGHS MILP solver."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    col = {name: j for j, (name, _) in enumerate(built.variables)}
+    lo = [0 if kind[0] == "binary" else kind[1] for (_, kind) in built.variables]
+    hi = [1 if kind[0] == "binary" else kind[2] for (_, kind) in built.variables]
+    c = np.zeros(len(col))
+    for coef, name in built.objective:
+        c[col[name]] += coef
+    rows, cols, data, lhs, rhs = [], [], [], [], []
+    for i, (_, terms, rel, b) in enumerate(built.constraints):
+        for coef, name in terms:
+            rows.append(i)
+            cols.append(col[name])
+            data.append(coef)
+        lhs.append(-np.inf if rel == "<=" else b)
+        rhs.append(np.inf if rel == ">=" else b)
+    a = coo_array((data, (rows, cols)), shape=(len(built.constraints), len(col)))
+    res = milp(c, integrality=np.ones(len(col)), bounds=Bounds(lo, hi),
+               constraints=LinearConstraint(a.tocsr(), lhs, rhs))
+    assert res.success, res.message
+    return {name: float(res.x[j]) for name, j in col.items()}, round(res.fun)
+
+
+def test_criterion_08_highs_matches_oracle():
+    """HiGHS solves the emitted model to the oracle's optimum: every cell of
+    criterion 8 with n <= 3, and one cell per 4-node DAG, cycling through the
+    models and (g, L)."""
+    pytest.importorskip("scipy.optimize")
+    P, S = 2, 3
+    oracle_budget = OracleBudget(max_s=S)
+    gls = ((1, 0), (1, 1), (2, 0), (2, 1))
+    models = list(MODELS.values())
+    cells = [(dag, model, g, L) for n in range(1, 4) for dag in _all_dags(n)
+             for model in models for (g, L) in gls]
+    cells += [(dag, models[i % 4], *gls[(i // 4) % 4])
+              for i, dag in enumerate(_all_dags(4))]
+    assert len(cells) == 176 + 64
+    for dag, model, g, L in cells:
+        built = emit_ilp(dag, P, S=S, g=g, L=L, model=model)
+        assignment, obj = _solve_with_highs(built)
+        _, opt = brute_opt_bsp(dag, P, g, L, model, budget=oracle_budget)
+        assert obj == opt
+        assert check_assignment(built, assignment) == []
+        _, total = read_solution(built, assignment)
+        assert total == opt
 
 
 # ---------------------------------------------------------------- criterion 9

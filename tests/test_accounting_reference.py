@@ -2,27 +2,20 @@
 replaced.
 
 The references below are the per-superstep work/sent/received loops that
-schedule.cost, commsched.comm_cost, variants.check_maxbsp and
-ilp.exhaustive_min each wrote out on their own before they shared
-schedule.work_loads and schedule.comm_loads. The library must price random
+schedule.cost, commsched.comm_cost and variants.check_maxbsp each wrote out
+on their own before they shared schedule.work_loads and schedule.comm_loads
+(the ILP's cost variables are checked against the kernel through
+ilp.encode_schedule in criterion 8). The library must price random
 weighted schedules, with duplicated copies, broadcast fan-out and edge-based
 tuples, exactly as they did.
 """
 
 import random
-from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from bspsched.commsched import (
-    CsInstance,
-    _relay_paths,
-    comm_cost,
-    cross_requirements,
-    cs_bruteforce,
-)
+from bspsched.commsched import CsInstance, comm_cost, cs_bruteforce
 from bspsched.dag import Dag, random_dag
-from bspsched.ilp import emit_ilp, exhaustive_min
 from bspsched.schedule import DS, MODELS, BspSchedule, MachineParams, cost
 from bspsched.variants import check_maxbsp
 
@@ -98,28 +91,6 @@ def ref_maxbsp_total(dag, P, S, assign, comms, params, alt_latency):
             total += max(w, params.g * c) + lat
         else:
             total += max(w, params.g * c + lat)
-    return total
-
-
-def ref_evaluate(dag, P, S, assign, tuples, broadcast, g, L):
-    """exhaustive_min's per-leaf price: work plus g*h + L per superstep."""
-    work_ps = [[0] * P for _ in range(S)]
-    for v, ((p, s),) in assign.items():
-        work_ps[s - 1][p - 1] += dag.w_work(v)
-    total = sum(max(row) for row in work_ps)
-    sent = [[0] * P for _ in range(S)]
-    rec = [[0] * P for _ in range(S)]
-    if broadcast:
-        for (v, p1, s) in {(v, p1, s) for (v, p1, _, s) in tuples}:
-            sent[s - 1][p1 - 1] += dag.w_comm(v)
-    else:
-        for (v, p1, p2, s) in tuples:
-            sent[s - 1][p1 - 1] += dag.w_comm(v)
-    for (v, p1, p2, s) in tuples:
-        rec[s - 1][p2 - 1] += dag.w_comm(v)
-    for s in range(S):
-        h = max(max(sent[s][p], rec[s][p]) for p in range(P))
-        total += g * h + (L if h > 0 else 0)
     return total
 
 
@@ -211,35 +182,3 @@ def test_check_maxbsp_total_matches_reference(n, P, max_copies, g, L, seed):
     for alt in (False, True):
         _, total = check_maxbsp(dag, sched, params, alt_latency=alt)
         assert total == ref_maxbsp_total(dag, P, S, assign, sched.comms, params, alt)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3), st.integers(0, 10**6))
-def test_exhaustive_min_pinned_matches_reference(n, g, L, seed):
-    """With every node pinned, exhaustive_min minimizes its leaf price over
-    the delivery plans of each cross requirement; so does the reference."""
-    rng = random.Random(seed)
-    dag = weighted_dag(n, rng)
-    P = 2
-    assign = layered_assign(dag, P, rng)
-    S = max(s for ((_, s),) in assign.values())
-    inst = CsInstance(dag, P, S, assign)
-    for model in MODELS.values():
-        free = model.transfer == "free"
-        options = []
-        for req in cross_requirements(inst):
-            (p1, s1) = assign[req.value][0]
-            opts = [frozenset([(req.value, p1, req.target, s)])
-                    for s in range(s1, req.first_need)]
-            if free:
-                opts += _relay_paths(inst, req.value, p1, s1, req.target, req.first_need)
-            options.append(opts)
-        want = min(
-            ref_evaluate(dag, P, S, assign, frozenset().union(*plan),
-                         model.cast == "broadcast", g, L)
-            for plan in product(*options)
-        )
-        built = emit_ilp(dag, P, S=S, g=g, L=L, model=model)
-        pin = {v: copies[0] for v, copies in assign.items()}
-        _, got = exhaustive_min(built, pin=pin)
-        assert got == want

@@ -255,6 +255,12 @@ def test_ratios_csv(capsys):
     assert any(",commdelay,7,7/4" in line for line in lines)
 
 
+def test_ratios_cell_missing_key_is_domain_error(capsys):
+    code, out, err = run(capsys, "ratios", "layered", "--cell", "length=4")
+    assert code == 1 and out == ""
+    assert "error:" in err and "width" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["cost"]) == 2
     assert main(["not-a-command"]) == 2

@@ -3,13 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from bspsched.dag import Dag
+from bspsched.commsched import CsInstance, cs_bruteforce
+from bspsched.dag import Dag, gen_taxonomy_fixture
 from bspsched.ilp import (
     IlpError,
     check_assignment,
     count_vars_constraints,
     emit_ilp,
-    exhaustive_min,
+    encode_schedule,
     parse_solution,
     read_solution,
     render_lp,
@@ -21,6 +22,7 @@ from bspsched.schedule import (
     FB,
     FS,
     MODELS,
+    BspSchedule,
     MachineParams,
     check_validity,
     cost,
@@ -118,39 +120,41 @@ def test_parse_solution():
     assert vals == {"comp_1_1_1": 1.0, "cwork_1": 0.0, "used_1": 1.0}
 
 
-def test_trivial_model_minimum():
+def _single_node_point():
     model = emit_ilp(Dag(1, ()), 1, S=1)
-    assignment, obj = exhaustive_min(model)
-    assert obj == 1
+    return model, encode_schedule(model, BspSchedule(1, 1, {1: ((1, 1),)}))
+
+
+def test_trivial_model_minimum():
+    model, assignment = _single_node_point()
+    assert check_assignment(model, assignment) == []
     sched, total = read_solution(model, assignment)
     assert total == 1
     assert sched.assign[1] == ((1, 1),)
 
 
-def test_exhaustive_min_matches_oracle_two_node_edge():
+def _assert_oracle_optimum_encodes(dag, S, model_code, g, L):
+    cm = MODELS[model_code]
+    model = emit_ilp(dag, 2, S=S, g=g, L=L, model=cm)
+    sched, want = brute_opt_bsp(dag, 2, g, L, cm)
+    assignment = encode_schedule(model, sched)
+    assert check_assignment(model, assignment) == []
+    got, total = read_solution(model, assignment)
+    assert total == want
+    assert check_validity(dag, got, cm).valid
+    assert cost(dag, got, cm, MachineParams(g, L)).cost == want
+    return want
+
+
+def test_oracle_optimum_encodes_two_node_edge():
     dag = Dag(2, ((1, 2),))
     for model_code, g, L in (("ds", 1, 0), ("fs", 2, 1), ("db", 1, 1)):
-        cm = MODELS[model_code]
-        model = emit_ilp(dag, 2, S=2, g=g, L=L, model=cm)
-        assignment, obj = exhaustive_min(model)
-        _, want = brute_opt_bsp(dag, 2, g, L, cm)
-        assert obj == want == 2
-        sched, total = read_solution(model, assignment)
-        assert total == obj
-        assert check_validity(dag, sched, cm).valid
+        assert _assert_oracle_optimum_encodes(dag, 2, model_code, g, L) == 2
 
 
-def test_exhaustive_min_matches_oracle_diamond():
-    for cm in (DS, FS):
-        model = emit_ilp(DIAMOND, 2, S=3, g=1, L=0, model=cm)
-        assignment, obj = exhaustive_min(model)
-        _, want = brute_opt_bsp(DIAMOND, 2, 1, 0, cm)
-        assert obj == want
-        assert check_assignment(model, assignment) == []
-        sched, total = read_solution(model, assignment)
-        assert total == obj
-        assert check_validity(DIAMOND, sched, cm).valid
-        assert cost(DIAMOND, sched, cm, MachineParams(1, 0)).cost == obj
+def test_oracle_optimum_encodes_diamond():
+    for model_code in ("ds", "fs"):
+        _assert_oracle_optimum_encodes(DIAMOND, 3, model_code, 1, 0)
 
 
 def test_pinning_reduces_to_communication_choice():
@@ -158,27 +162,22 @@ def test_pinning_reduces_to_communication_choice():
     # value from p3 to p1: relaying beats any direct placement
     dag = Dag(6, ((1, 2), (3, 4), (5, 6)))
     pin = {1: (2, 1), 2: (1, 2), 3: (3, 2), 4: (2, 3), 5: (3, 1), 6: (1, 3)}
-    ds = emit_ilp(dag, 3, S=3, g=1, L=0, model=DS)
-    fs = emit_ilp(dag, 3, S=3, g=1, L=0, model=FS)
-    _, ds_obj = exhaustive_min(ds, pin=pin)
-    _, fs_obj = exhaustive_min(fs, pin=pin)
+    inst = CsInstance(dag, 3, 3, {v: (ps,) for v, ps in pin.items()})
+    _, ds_comm = cs_bruteforce(inst, DS)
+    _, fs_comm = cs_bruteforce(inst, FS)
     # work profile is identical, so the gap is purely communication
-    assert ds_obj - fs_obj == 1
+    assert ds_comm - fs_comm == 1
 
 
 def test_read_solution_rejects_fractional():
-    model = emit_ilp(Dag(1, ()), 1, S=1)
-    assignment, _ = exhaustive_min(model)
-    assignment = dict(assignment)
+    model, assignment = _single_node_point()
     assignment["comp_1_1_1"] = 0.5
     with pytest.raises(IlpError):
         read_solution(model, assignment)
 
 
 def test_read_solution_rejects_unassigned_node():
-    model = emit_ilp(Dag(1, ()), 1, S=1)
-    assignment, _ = exhaustive_min(model)
-    assignment = dict(assignment)
+    model, assignment = _single_node_point()
     assignment["comp_1_1_1"] = 0
     with pytest.raises(IlpError):
         read_solution(model, assignment)
@@ -186,7 +185,8 @@ def test_read_solution_rejects_unassigned_node():
 
 def test_check_assignment_flags_violations():
     model = emit_ilp(Dag(2, ((1, 2),)), 2, S=2, model=DS)
-    assignment, _ = exhaustive_min(model)
+    sched = BspSchedule(2, 2, {1: ((1, 1),), 2: ((2, 2),)}, frozenset({(1, 1, 2, 1)}))
+    assignment = encode_schedule(model, sched)
     bad = dict(assignment)
     name = "comp_2_1_1"
     bad[name] = 1 - bad[name]
@@ -194,9 +194,30 @@ def test_check_assignment_flags_violations():
     assert check_assignment(model, assignment) == []
 
 
+def test_encode_schedule_rejects_misfit_schedules():
+    model = emit_ilp(Dag(2, ((1, 2),)), 2, S=2, model=DS)
+    for sched in (BspSchedule(3, 2, {1: ((1, 1),), 2: ((1, 1),)}),
+                  BspSchedule(2, 3, {1: ((1, 1),), 2: ((1, 3),)}),
+                  BspSchedule(2, 2, {1: ((1, 1),), 2: ((1, 1),), 3: ((1, 2),)})):
+        with pytest.raises(IlpError):
+            encode_schedule(model, sched)
+
+
 def test_duplication_relaxes_assignment():
     model = emit_ilp(Dag(2, ((1, 2),)), 2, S=2, model=DS, duplication=True)
     rels = [rel for (name, _, rel, _) in model.constraints if name.startswith("assign")]
     assert set(rels) == {">="}
-    with pytest.raises(IlpError):
-        exhaustive_min(model)
+    # the duplication optimum is a feasible point of the duplication model,
+    # and no worse than the single-copy optimum
+    fork = gen_taxonomy_fixture("fork", length=2)
+    P, g, L = 2, 1, 0
+    for cm in MODELS.values():
+        sched, dup_opt = brute_opt_bsp(fork, P, g, L, cm, duplication=True)
+        _, single_opt = brute_opt_bsp(fork, P, g, L, cm)
+        assert dup_opt <= single_opt
+        built = emit_ilp(fork, P, S=sched.superstep_count, g=g, L=L, model=cm,
+                         duplication=True)
+        assignment = encode_schedule(built, sched)
+        assert check_assignment(built, assignment) == []
+        _, total = read_solution(built, assignment)
+        assert total == dup_opt
