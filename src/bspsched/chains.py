@@ -1,11 +1,15 @@
-"""Exact polynomial scheduling for chain-structured DAGs, plus the
-constructive greedy splitter with its additive communication bound.
+"""Exact scheduling for chain-structured DAGs, plus the constructive greedy
+splitter with its additive communication bound.
 
 A chain DAG is a disjoint union of directed paths; a connected chain DAG adds
-one root feeding every path head. For fixed P these admit exact solvers:
-communication events are enumerated as per-boundary transfer sets, split
-chains as monotone superstep labelings, and the remaining whole chains are
-leveled with a closed-form work bound.
+one root feeding every path head. For fixed P (up to MAX_P) one exact search
+serves both. For each superstep count it enumerates the root's delivery plan,
+the transfer set of each superstep boundary and the grouping of those
+transfers into the paths of split chains. Each path takes one chain and a
+split of it over the supersteps, generated directly with a nonempty segment
+on every processor the path visits; the remaining whole chains are leveled
+with a closed-form work bound. For fixed P the number of candidates is
+polynomial in the number of nodes, with a degree that grows with P.
 """
 
 from dataclasses import dataclass
@@ -92,7 +96,6 @@ def greedy_chain(dec: ChainDecomposition, P: int, g: int) -> BspSchedule:
     if P < 1:
         raise ChainError("P must be >= 1")
     chains = sorted(dec.chains, key=len, reverse=True)
-    n = sum(len(c) for c in chains)
 
     solo: List[Tuple[int, ...]] = []
     rest = chains
@@ -151,7 +154,6 @@ def greedy_chain(dec: ChainDecomposition, P: int, g: int) -> BspSchedule:
                 transfers.append((block[-1], proc, proc + 1, len(out)))
 
     cuts = sorted(boundaries)
-    horizon = max((t for (_, t) in timed.values()), default=1)
 
     def sup_of(t: int) -> int:
         s = 1
@@ -174,18 +176,13 @@ def greedy_chain(dec: ChainDecomposition, P: int, g: int) -> BspSchedule:
 
 def _round_subsets(P: int):
     """All nonempty sets of (sender, receiver) transfer slots for one
-    boundary, with the resulting h-relation size."""
+    boundary."""
     pairs = [(a, b) for a in range(1, P + 1) for b in range(1, P + 1) if a != b]
-    out = []
-    for r in range(1, len(pairs) + 1):
-        for subset in combinations(pairs, r):
-            snd = [0] * (P + 1)
-            rec = [0] * (P + 1)
-            for (a, b) in subset:
-                snd[a] += 1
-                rec[b] += 1
-            out.append((subset, max(max(snd), max(rec))))
-    return out
+    return [
+        subset
+        for r in range(1, len(pairs) + 1)
+        for subset in combinations(pairs, r)
+    ]
 
 
 def _path_partitions(transfers: Sequence[Tuple[int, int, int]]):
@@ -213,48 +210,34 @@ def _path_partitions(transfers: Sequence[Tuple[int, int, int]]):
     return results
 
 
-def _split_compositions(length: int, S: int, rounds: Sequence[int]):
-    """Weak compositions of `length` over S supersteps where every segment
-    delimited by the transfer rounds (including the final one) is nonempty."""
+def _chain_splits(length: int, seg: Sequence[int], first: int):
+    """Node counts per superstep for a chain of `length` nodes, in
+    lexicographic order, where superstep s + 1 lies in segment seg[s]
+    (nondecreasing from 0, one segment per processor of the chain's path),
+    every segment is nonempty and segment 0 starts no earlier than superstep
+    `first`.
 
-    def rec(s: int, left: int, prefix: List[int]):
-        if s == S:
-            if left == 0:
-                yield tuple(prefix)
+    A count is tried only if the split can still be completed, so the work
+    is proportional to the splits yielded, not to all compositions."""
+    S = len(seg)
+    comp = [0] * S
+
+    def rec(s: int, left: int, filled: bool):
+        k = seg[s]
+        if s == S - 1:
+            # the last superstep takes what is left
+            if (left or filled) and (k or not left or s + 1 >= first):
+                comp[s] = left
+                yield tuple(comp)
             return
-        for c in range(left + 1):
-            prefix.append(c)
-            yield from rec(s + 1, left - c, prefix)
-            prefix.pop()
+        closes = seg[s + 1] != k
+        # each later segment still needs a node
+        top = 0 if k == 0 and s + 1 < first else left - (seg[-1] - k)
+        for c in range(1 if closes and not filled else 0, top + 1):
+            comp[s] = c
+            yield from rec(s + 1, left - c, (filled or c > 0) and not closes)
 
-    for comp in rec(0, length, []):
-        ok = True
-        prev = 0
-        for r in rounds:
-            cum = sum(comp[:r])
-            if cum <= prev:
-                ok = False
-                break
-            prev = cum
-        if ok and sum(comp) > prev:
-            yield comp
-
-
-class _Candidate:
-    """Best-so-far schedule assembled from solver pieces."""
-
-    __slots__ = ("cost", "S", "assign", "comms")
-
-    def __init__(self):
-        self.cost = None
-        self.S = None
-        self.assign = None
-        self.comms = None
-
-    def offer(self, cost: int, S: int, assign, comms):
-        if self.cost is None or cost < self.cost:
-            self.cost, self.S = cost, S
-            self.assign, self.comms = assign, comms
+    yield from rec(0, length, False)
 
 
 def _level_free(
@@ -291,283 +274,198 @@ def _chain_search(
     L: int,
     model: CommModel,
 ) -> Tuple[BspSchedule, int]:
-    chains = list(dec.chains)
+    """Exhaustive search over superstep counts S, root delivery plans,
+    per-boundary transfer sets, their grouping into split-chain paths, the
+    chain and split of each path, and a leveling of the whole chains.
+
+    The inner functions share the search state: the current S, root `plan`,
+    `avail` (first superstep each processor may compute a chain head), the
+    communication cost `comm`, the per-superstep load `base` of placed
+    nodes, the `used` chains, their `placements` and the incumbent
+    `best`."""
+    if not 1 <= P <= MAX_P:
+        raise ChainError(f"P={P} is outside 1..{MAX_P}")
+    chains = dec.chains
     root = dec.root
-    n = sum(len(c) for c in chains) + (1 if root else 0)
+    n = dec.node_count
     work_floor = _ceil_div(n, P)
-    free_models = model.transfer == "free"
-    broadcast = model.cast == "broadcast"
-    subsets = _round_subsets(P) if P > 1 else []
-    best = _Candidate()
+    # chain transfers per boundary; () leaves the boundary to root deliveries
+    options = [()] + _round_subsets(P)
 
-    # single-processor baseline, always valid
-    serial = {}
-    if root:
-        serial[root] = ((1, 1),)
-    for c in chains:
-        for v in c:
-            serial[v] = ((1, 1),)
-    best.offer(n, 1, serial, frozenset())
+    # incumbent [cost, S, assignment, comms], seeded with the always valid
+    # one-processor schedule
+    serial = {root: ((1, 1),)} if root else {}
+    serial.update((v, ((1, 1),)) for c in chains for v in c)
+    best = [n, 1, serial, frozenset()]
+    used: Set[int] = set()
+    placements: List[Tuple] = []  # (chain, split, rounds, owner) per path
 
-    max_sups = min(n, (2 * P - 1) if root else P)
-
-    def root_plans(S: int):
+    def root_plans():
         """Delivery round and sender of the root value per processor."""
         others = list(range(2, P + 1))
 
-        def rec(i: int, plan: Dict[int, Tuple[int, int]]):
+        def rec(i: int, partial: Dict[int, Tuple[int, int]]):
             if i == len(others):
-                yield dict(plan)
+                yield dict(partial)
                 return
             p = others[i]
-            yield from rec(i + 1, plan)  # processor never receives the root
+            yield from rec(i + 1, partial)  # processor never receives the root
             for r in range(1, S):
-                if free_models:
-                    senders = [1] + [
-                        q for q in plan if plan[q][0] + 1 <= r
-                    ]
-                else:
-                    senders = [1]
+                senders = [1]
+                if model.transfer == "free":
+                    senders += [q for q in partial if partial[q][0] + 1 <= r]
                 for snd in senders:
                     if snd == p:
                         continue
-                    plan[p] = (r, snd)
-                    yield from rec(i + 1, plan)
-                    del plan[p]
+                    partial[p] = (r, snd)
+                    yield from rec(i + 1, partial)
+                    del partial[p]
 
         yield from rec(0, {})
-
-    for S in range(1, max_sups + 1):
-        if best.cost is not None and work_floor + (g + L) * (S - 1) >= best.cost:
-            break
-        plans = root_plans(S) if root else [dict()]
-        for plan in plans:
-            avail = [1] * (P + 1)  # 1-indexed by processor
-            for p, (r, _) in plan.items():
-                avail[p] = r + 1
-            if root:
-                # processors that never get the root host continuations only
-                for p in range(2, P + 1):
-                    if p not in plan:
-                        avail[p] = S + 1
-            _search_rounds(
-                dec, P, S, g, L, model, subsets, plan, avail, best,
-                work_floor, broadcast,
-            )
-    return _finish(best, P)
-
-
-def _finish(best: _Candidate, P: int) -> Tuple[BspSchedule, int]:
-    return BspSchedule(P, best.S, best.assign, best.comms), best.cost
-
-
-def _search_rounds(
-    dec, P, S, g, L, model, subsets, root_plan, avail, best,
-    work_floor, broadcast,
-):
-    chains = list(dec.chains)
-    root = dec.root
 
     def round_cost(r: int, subset) -> int:
         snd = [0] * (P + 1)
         rec = [0] * (P + 1)
-        sent_values: Set[Tuple[int, int]] = set()
+        broadcasters: Set[int] = set()  # a broadcast root value pays once
         for (a, b) in subset:
             snd[a] += 1
             rec[b] += 1
-        for p, (rr, sender) in root_plan.items():
+        for p, (rr, sender) in plan.items():
             if rr == r:
                 rec[p] += 1
-                if broadcast:
-                    sent_values.add((sender, r))
+                if model.cast == "broadcast":
+                    broadcasters.add(sender)
                 else:
                     snd[sender] += 1
-        for (sender, _) in sent_values:
+        for sender in broadcasters:
             snd[sender] += 1
         return max(max(snd), max(rec))
 
-    def configs(r: int, acc: List, units: int):
+    def configs(r: int, transfers: List[Tuple[int, int, int]], units: int):
+        """Transfer sets of boundaries r..S-1 with their summed h-relations;
+        every boundary must carry communication."""
         if r == S:
-            yield list(acc), units
+            yield transfers, units
             return
-        root_only = round_cost(r, ())
-        options = []
-        if root_only > 0:
-            options.append(((), root_only))
-        for subset, _ in subsets:
-            options.append((subset, round_cost(r, subset)))
-        for subset, h in options:
-            if h == 0:
-                continue  # every boundary must carry communication
-            acc.append(subset)
-            yield from configs(r + 1, acc, units + h)
-            acc.pop()
+        for subset in options:
+            h = round_cost(r, subset)
+            if h:
+                grown = transfers + [(r, a, b) for (a, b) in subset]
+                yield from configs(r + 1, grown, units + h)
 
-    for rounds, units in configs(1, [], 0):
-        lb = work_floor + g * units + L * (S - 1)
-        if best.cost is not None and lb >= best.cost:
-            continue
-        transfers = [
-            (r + 1, a, b) for r, subset in enumerate(rounds) for (a, b) in subset
-        ]
-        for paths in _path_partitions(transfers):
-            if len(paths) > len(chains):
-                continue
-            _assign_paths(
-                dec, P, S, g, L, paths, rounds, root_plan, avail, best, units,
-            )
-
-
-def _assign_paths(
-    dec, P, S, g, L, paths, rounds, root_plan, avail, best, units,
-):
-    chains = list(dec.chains)
-    root = dec.root
-
-    used: Set[int] = set()
-    base = [[0] * P for _ in range(S)]
-    if root:
-        base[0][0] += 1
-    placements: List[Tuple[int, Tuple[int, ...], List, Tuple[int, ...]]] = []
-
-    def candidates(min_len: int):
-        by_len: Dict[int, int] = {}
-        for i, c in enumerate(chains):
-            if i in used or len(c) < min_len:
-                continue
-            # equal-length chains are interchangeable: lowest index represents
-            if len(c) not in by_len:
-                by_len[len(c)] = i
-        return list(by_len.values())
-
-    def rec(k: int):
-        if k == len(paths):
-            _level_and_offer(
-                dec, P, S, g, L, base, used, placements, avail, best, units,
-                root_plan,
-            )
-            return
-        path = paths[k]
-        rnds = [t[0] for t in path]
+    def segments(path: List[Tuple[int, int, int]]):
+        """A path's rounds, the segment of each superstep and the processor
+        that computes it."""
+        rounds = [t[0] for t in path]
         procs = [path[0][1]] + [t[2] for t in path]
-        for ci in candidates(len(path) + 1):
-            chain = chains[ci]
+        seg = [sum(r < s for r in rounds) for s in range(1, S + 1)]
+        return rounds, seg, [procs[k] for k in seg]
+
+    def place(paths, k: int):
+        """Give paths[k:] distinct chains and splits, then level the rest."""
+        if k == len(paths):
+            level()
+            return
+        rounds, seg, owner = paths[k]
+        lengths: Set[int] = set()
+        for ci, chain in enumerate(chains):
+            # equal-length chains are interchangeable: lowest index represents
+            if ci in used or len(chain) <= len(rounds) or len(chain) in lengths:
+                continue
+            lengths.add(len(chain))
             used.add(ci)
-            for comp in _split_compositions(len(chain), S, rnds):
-                ok = True
-                add: List[Tuple[int, int]] = []
-                for s in range(S):
-                    if comp[s] == 0:
-                        continue
-                    seg = 0
-                    while seg < len(rnds) and s + 1 > rnds[seg]:
-                        seg += 1
-                    p = procs[seg]
-                    if seg == 0 and s + 1 < avail[p]:
-                        ok = False
-                        break
-                    add.append((s, p - 1))
-                if ok:
-                    for (s, p) in add:
-                        base[s][p] += comp[s]
-                    placements.append((ci, comp, path, tuple(procs)))
-                    rec(k + 1)
-                    placements.pop()
-                    for (s, p) in add:
-                        base[s][p] -= comp[s]
+            for comp in _chain_splits(len(chain), seg, avail[owner[0]]):
+                for s, c in enumerate(comp):
+                    base[s][owner[s] - 1] += c
+                placements.append((chain, comp, rounds, owner))
+                place(paths, k + 1)
+                placements.pop()
+                for s, c in enumerate(comp):
+                    base[s][owner[s] - 1] -= c
             used.discard(ci)
 
-    rec(0)
-
-
-def _level_and_offer(
-    dec, P, S, g, L, base, used, placements, avail, best, units, root_plan,
-):
-    chains = list(dec.chains)
-    root = dec.root
-    free = [i for i in range(len(chains)) if i not in used]
-
-    # achievable free-load vectors with one representative assignment each
-    vectors: Dict[Tuple[int, ...], Tuple] = {tuple([0] * P): ()}
-    for i in free:
-        ell = len(chains[i])
-        nxt: Dict[Tuple[int, ...], Tuple] = {}
+    def level():
+        """Offer each achievable free-load vector of the unused chains, with
+        one representative assignment each, under its leveled profile plus
+        the communication cost `comm` of the current transfer sets."""
+        vectors: Dict[Tuple[int, ...], Tuple] = {(0,) * P: ()}
+        for i, chain in enumerate(chains):
+            if i in used:
+                continue
+            nxt: Dict[Tuple[int, ...], Tuple] = {}
+            for vec, rep in vectors.items():
+                for p in range(P):
+                    if avail[p + 1] > S:
+                        continue
+                    grown = list(vec)
+                    grown[p] += len(chain)
+                    nxt.setdefault(tuple(grown), rep + ((i, p),))
+            vectors = nxt
+            if not vectors:
+                return
         for vec, rep in vectors.items():
-            for p in range(P):
-                if avail[p + 1] > S:
+            total, T = _level_free(base, list(vec), avail[1:], P, S)
+            if total + comm < best[0]:
+                built = build(T, rep)
+                if built is not None:
+                    best[:] = [total + comm, S, *built]
+
+    def build(T: List[int], rep):
+        """Assignment and comms of the placements, with the whole chains of
+        `rep` filling the capacity left under the profile T; None if one
+        does not fit."""
+        assign: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        comms: Set[Tuple[int, int, int, int]] = set()
+        if root:
+            assign[root] = ((1, 1),)
+            for p, (r, snd) in plan.items():
+                comms.add((root, snd, p, r))
+        for chain, comp, rounds, owner in placements:
+            pos = 0
+            for s, c in enumerate(comp):
+                for v in chain[pos: pos + c]:
+                    assign[v] = ((owner[s], s + 1),)
+                pos += c
+            for r in rounds:
+                comms.add((chain[sum(comp[:r]) - 1], owner[r - 1], owner[r], r))
+        cap = [[T[s] - base[s][p] for p in range(P)] for s in range(S)]
+        for (ci, p) in rep:
+            chain = chains[ci]
+            pos = 0
+            for s in range(avail[p + 1] - 1, S):
+                take = min(len(chain) - pos, cap[s][p])
+                if take <= 0:
                     continue
-                grown = list(vec)
-                grown[p] += ell
-                key = tuple(grown)
-                if key not in nxt:
-                    nxt[key] = rep + ((i, p),)
-        vectors = nxt
-        if not vectors:
-            return
+                for v in chain[pos: pos + take]:
+                    assign[v] = ((p + 1, s + 1),)
+                cap[s][p] -= take
+                pos += take
+                if pos == len(chain):
+                    break
+            if pos != len(chain):
+                return None
+        return assign, frozenset(comms)
 
-    comm_part = g * units + L * (S - 1)
-    for vec, rep in vectors.items():
-        total, T = _level_free(base, list(vec), avail[1:], P, S)
-        cand = total + comm_part
-        if best.cost is not None and cand >= best.cost:
-            continue
-        built = _build_schedule(
-            dec, P, S, base, T, rep, placements, avail, root_plan,
-        )
-        if built is not None:
-            best.offer(cand, S, built[0], built[1])
-
-
-def _build_schedule(dec, P, S, base, T, rep, placements, avail, root_plan):
-    chains = list(dec.chains)
-    root = dec.root
-    assign: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    comms: Set[Tuple[int, int, int, int]] = set()
-    load = [row[:] for row in base]
-    if root:
-        assign[root] = ((1, 1),)
-        for p, (r, snd) in root_plan.items():
-            comms.add((root, snd, p, r))
-
-    for (ci, comp, path, procs) in placements:
-        chain = chains[ci]
-        rnds = [t[0] for t in path]
-        pos = 0
-        for s in range(S):
-            if comp[s] == 0:
-                continue
-            seg = 0
-            while seg < len(rnds) and s + 1 > rnds[seg]:
-                seg += 1
-            p = procs[seg]
-            for v in chain[pos: pos + comp[s]]:
-                assign[v] = ((p, s + 1),)
-            pos += comp[s]
-        cum = 0
-        for idx, r in enumerate(rnds):
-            cum = sum(comp[:r])
-            value = chain[cum - 1]
-            comms.add((value, procs[idx], procs[idx + 1], r))
-
-    # whole chains: fill capacity under the leveled profile T
-    cap = [[T[s] - load[s][p] for p in range(P)] for s in range(S)]
-    for (ci, p) in rep:
-        chain = chains[ci]
-        pos = 0
-        for s in range(avail[p + 1] - 1, S):
-            take = min(len(chain) - pos, cap[s][p])
-            if take <= 0:
-                continue
-            for v in chain[pos: pos + take]:
-                assign[v] = ((p + 1, s + 1),)
-            cap[s][p] -= take
-            load[s][p] += take
-            pos += take
-            if pos == len(chain):
-                break
-        if pos != len(chain):
-            return None
-    return assign, frozenset(comms)
+    for S in range(1, min(n, (2 * P - 1) if root else P) + 1):
+        if work_floor + (g + L) * (S - 1) >= best[0]:
+            break
+        base = [[0] * P for _ in range(S)]
+        if root:
+            base[0][0] = 1
+        for plan in root_plans() if root else [{}]:
+            avail = [1] * (P + 1)  # 1-indexed by processor
+            if root:
+                # processors that never get the root host continuations only
+                for p in range(2, P + 1):
+                    avail[p] = plan[p][0] + 1 if p in plan else S + 1
+            for transfers, units in configs(1, [], 0):
+                comm = g * units + L * (S - 1)
+                if work_floor + comm >= best[0]:
+                    continue
+                for paths in _path_partitions(transfers):
+                    if len(paths) <= len(chains):
+                        place([segments(path) for path in paths], 0)
+    return BspSchedule(P, best[1], best[2], best[3]), best[0]
 
 
 def solve_chain(
@@ -577,10 +475,6 @@ def solve_chain(
     transfers are single chain handoffs, so all four models coincide)."""
     if dec.root is not None:
         raise ChainError("chain solver expects no root; use the connected solver")
-    if P > MAX_P:
-        raise ChainError(f"P={P} exceeds the limit ({MAX_P})")
-    if P < 1:
-        raise ChainError("P must be >= 1")
     return _chain_search(dec, P, g, L, DS)
 
 
@@ -595,8 +489,4 @@ def solve_connected_chain(
     communication model; the root may be broadcast or relayed per model."""
     if dec.root is None:
         raise ChainError("connected solver requires a root")
-    if P > MAX_P:
-        raise ChainError(f"P={P} exceeds the limit ({MAX_P})")
-    if P < 1:
-        raise ChainError("P must be >= 1")
     return _chain_search(dec, P, g, L, model)

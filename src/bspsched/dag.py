@@ -2,7 +2,8 @@
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 
 class DagError(Exception):
@@ -17,15 +18,19 @@ class DagCycleError(DagError):
 class Dag:
     """Immutable DAG over nodes 1..n with optional node weights.
 
-    work_weight / comm_weight only store non-default (!= 1) entries.
+    work_weight / comm_weight only store non-default (!= 1) entries. Both
+    are kept as read-only copies, so neither the caller's dict nor the DAG's
+    own mapping can change a checked weight.
     """
 
     node_count: int
     edges: Tuple[Tuple[int, int], ...]
-    work_weight: Dict[int, int] = field(default_factory=dict)
-    comm_weight: Dict[int, int] = field(default_factory=dict)
+    work_weight: Mapping[int, int] = field(default_factory=dict)
+    comm_weight: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("work_weight", "comm_weight"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         n = self.node_count
         if n < 1:
             raise DagError("node count must be positive")
@@ -157,7 +162,6 @@ def serialize_dag(dag: Dag) -> str:
 
 
 def classify(dag: Dag) -> DagClass:
-    n = dag.node_count
     pred = dag.pred()
     succ = dag.succ()
     indeg = {v: len(pred[v]) for v in pred}

@@ -394,7 +394,6 @@ def count_vars_constraints(
     direct = model.transfer == "direct"
     broadcast = model.cast == "broadcast"
     ds = direct and not broadcast
-    fs = (not direct) and not broadcast
 
     variables = 2 * n * P * S + S + 3 * P * S + 2 * S
     if ds:

@@ -31,7 +31,7 @@ class OracleBudget:
     max_nodes: int = 8
     max_p: int = 3
     max_s: Optional[int] = None          # defaults to n
-    max_time_horizon: Optional[int] = None  # defaults to n*(1+g)
+    max_time_horizon: Optional[int] = None  # defaults to the serial makespan
     node_budget: int = 10**8
     spd_max_nodes: int = 5
     spd_max_g: int = 2
@@ -647,7 +647,7 @@ def brute_opt_timed(
     for v in reversed(order):
         lp_from[v] = w[v] + max((lp_from[x] for x in succ[v]), default=0)
     lb = max(max(ef), -(-total // P))
-    horizon_cap = budget.max_time_horizon or n * (1 + g)
+    horizon_cap = budget.max_time_horizon or total
     barrier = model == "classical_barrier"
     delay = g if model in ("commdelay", "spd") else 0
 

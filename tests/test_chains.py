@@ -5,6 +5,7 @@ import pytest
 from bspsched.chains import (
     ChainDecomposition,
     ChainError,
+    _chain_splits,
     decompose_chains,
     greedy_chain,
     solve_chain,
@@ -12,7 +13,7 @@ from bspsched.chains import (
 )
 from bspsched.dag import Dag
 from bspsched.oracle import OracleBudget, brute_opt_bsp
-from bspsched.schedule import DB, DS, FS, MachineParams, check_validity, cost
+from bspsched.schedule import DB, DS, FB, FS, MachineParams, check_validity, cost
 
 
 def chain_dag(lengths, root=False):
@@ -172,6 +173,55 @@ def test_connected_matches_oracle_small():
             assert check_validity(dag, sched, DS).valid
             _, want = brute_opt_bsp(dag, 2, g, L, budget=budget)
             assert got == want, (lengths, g, L)
+
+
+def test_chain_splits_are_the_kept_compositions():
+    # reference: every composition in lexicographic order, kept when each
+    # segment is nonempty and segment 0 starts no earlier than `first`
+    for S in range(1, 5):
+        for k in range(S):
+            for rounds in itertools.combinations(range(1, S), k):
+                seg = [sum(r < s for r in rounds) for s in range(1, S + 1)]
+                for length in range(7):
+                    for first in range(1, S + 2):
+                        want = [
+                            comp
+                            for comp in itertools.product(range(length + 1), repeat=S)
+                            if sum(comp) == length
+                            and all(
+                                any(c for c, j in zip(comp, seg) if j == i)
+                                for i in range(k + 1)
+                            )
+                            and not any(
+                                comp[s] for s in range(S)
+                                if seg[s] == 0 and s + 1 < first
+                            )
+                        ]
+                        got = list(_chain_splits(length, seg, first))
+                        assert got == want, (length, seg, first)
+
+
+def test_solvers_match_oracle_p3():
+    budget = OracleBudget(max_nodes=8)
+    for n in range(1, 9):
+        for lengths in partitions(n):
+            dag, dec = dec_of(lengths)
+            for g, L in ((1, 0), (2, 1)):
+                sched, got = solve_chain(dec, 3, g, L)
+                assert cost(dag, sched, DS, MachineParams(g, L)).cost == got
+                _, want = brute_opt_bsp(dag, 3, g, L, budget=budget)
+                assert got == want, (lengths, g, L)
+    # g=1, L=0 is left out here: the connected search then runs up to S=5
+    for n in range(1, 7):
+        for lengths in partitions(n):
+            dag, dec = rooted_dec(lengths)
+            for model in (DS, DB, FS, FB):
+                for g, L in ((2, 1), (1, 1)):
+                    sched, got = solve_connected_chain(dec, 3, g, L, model)
+                    assert check_validity(dag, sched, model).valid
+                    assert cost(dag, sched, model, MachineParams(g, L)).cost == got
+                    _, want = brute_opt_bsp(dag, 3, g, L, model, budget)
+                    assert got == want, (lengths, model, g, L)
 
 
 def test_solve_never_beats_greedy_claim():

@@ -66,6 +66,18 @@ def test_nonpositive_weight_rejected():
         Dag(2, ((1, 2),), work_weight={1: 0})
 
 
+def test_weights_are_read_only_copies():
+    weights = {1: 2}
+    dag = Dag(2, ((1, 2),), work_weight=weights, comm_weight={2: 3})
+    weights[1] = 0  # the caller's dict is not the DAG's
+    assert dag.w_work(1) == 2 and dag.total_work() == 3
+    with pytest.raises(TypeError):
+        dag.work_weight[1] = 0
+    with pytest.raises(TypeError):
+        dag.comm_weight[2] = 0
+    assert dag == Dag(2, ((1, 2),), work_weight={1: 2}, comm_weight={2: 3})
+
+
 def test_topo_order_respects_edges():
     dag = parse_dag("4 3\n3 1\n1 2\n3 4\n")
     order = dag.topo_order()

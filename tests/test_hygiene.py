@@ -1,7 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+every local a function assigns is read.
 
 Walks the syntax tree of each module in the package; ``__init__.py`` is
-exempt because its imports are the public re-exports.
+exempt from the import check because its imports are the public re-exports.
 """
 
 import ast
@@ -25,6 +26,43 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_locals(source: str):
+    """(line, name) of each single-name assignment that its function never
+    reads. Reads in nested functions count; names that the function or a
+    nested one declares nonlocal or global are skipped."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = set()
+        declared = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                declared.update(node.names)
+        assigned = {}
+        stack = list(func.body)
+        while stack:  # the function's own scope: nested definitions are skipped
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, node.lineno)
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                if isinstance(node.target, ast.Name):
+                    assigned.setdefault(node.target.id, node.lineno)
+            stack.extend(ast.iter_child_nodes(node))
+        found += [
+            (line, name) for name, line in assigned.items()
+            if name not in read and name not in declared
+        ]
+    return sorted(found)
+
+
 def test_modules_found():
     assert {p.stem for p in MODULES} >= {"dag", "schedule", "cli"}
 
@@ -37,3 +75,25 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     assert unused_imports("from typing import Dict, List\nx: List = []\n") == [(1, "Dict")]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_unused_local():
+    source = (
+        "def f(xs):\n"
+        "    n = len(xs)\n"
+        "    total: int = 0\n"
+        "    seen = set()\n"
+        "    count = 0\n"
+        "    def inner():\n"
+        "        nonlocal count\n"
+        "        count = 1\n"
+        "        return seen\n"
+        "    a, b = xs\n"
+        "    return inner\n"
+    )
+    assert unused_locals(source) == [(2, "n"), (3, "total")]

@@ -113,6 +113,15 @@ def test_timed_fixture_makespans():
     assert (plain, barrier) == (5, 6)
 
 
+def test_timed_default_horizon_reaches_serial_makespan():
+    # two heavy nodes in sequence: the optimum is the serial makespan 6,
+    # above the old default cap n * (1 + g) = 4
+    dag = Dag(2, ((1, 2),), work_weight={1: 3, 2: 3})
+    for model in ("classical", "classical_barrier", "commdelay", "spd"):
+        _, opt = brute_opt_timed(dag, 2, 1, model)
+        assert opt == 6, model
+
+
 def test_timed_recomputation_fixture():
     recomp = gen_taxonomy_fixture("recomp")
     budget = OracleBudget(max_nodes=9)
