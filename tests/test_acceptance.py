@@ -335,25 +335,24 @@ def _solve_with_highs(built):
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import coo_array
 
-    col = {name: j for j, (name, _) in enumerate(built.variables)}
+    nvars = len(built.variables)
     lo = [0 if kind[0] == "binary" else kind[1] for (_, kind) in built.variables]
     hi = [1 if kind[0] == "binary" else kind[2] for (_, kind) in built.variables]
-    c = np.zeros(len(col))
-    for coef, name in built.objective:
-        c[col[name]] += coef
+    c = np.zeros(nvars)
+    np.add.at(c, *built.objective)
     rows, cols, data, lhs, rhs = [], [], [], [], []
-    for i, (_, terms, rel, b) in enumerate(built.constraints):
-        for coef, name in terms:
-            rows.append(i)
-            cols.append(col[name])
-            data.append(coef)
+    for i, (_, (row_cols, row_coefs), rel, b) in enumerate(built.constraints):
+        rows += [i] * len(row_cols)
+        cols += row_cols
+        data += row_coefs
         lhs.append(-np.inf if rel == "<=" else b)
         rhs.append(np.inf if rel == ">=" else b)
-    a = coo_array((data, (rows, cols)), shape=(len(built.constraints), len(col)))
-    res = milp(c, integrality=np.ones(len(col)), bounds=Bounds(lo, hi),
+    a = coo_array((data, (rows, cols)), shape=(len(built.constraints), nvars))
+    res = milp(c, integrality=np.ones(nvars), bounds=Bounds(lo, hi),
                constraints=LinearConstraint(a.tocsr(), lhs, rhs))
     assert res.success, res.message
-    return {name: float(res.x[j]) for name, j in col.items()}, round(res.fun)
+    return ({name: float(x) for (name, _), x in zip(built.variables, res.x)},
+            round(res.fun))
 
 
 def test_criterion_08_highs_matches_oracle():

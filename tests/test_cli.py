@@ -1,6 +1,15 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bspsched.cli import main
+from bspsched.dag import Dag
+from bspsched.ilp import emit_ilp, encode_schedule
+from bspsched.schedule import BspSchedule
 
 COST_DAG = """9 0
 """
@@ -215,6 +224,65 @@ def test_ilp_emit_and_read(files, capsys, tmp_path):
     )
     assert code == 0
     assert out.strip().endswith("# cost 2")
+
+
+EDGE_DAG = "2 1\n1 2\n"
+
+
+def _edge_solution():
+    """Solution lines of the edge DAG at P=1, S=2: both nodes in superstep 1."""
+    model = emit_ilp(Dag(2, ((1, 2),)), 1, S=2)
+    sched = BspSchedule(1, 1, {1: ((1, 1),), 2: ((1, 1),)})
+    values = encode_schedule(model, sched)
+    return [f"{name} {values[name]}" for (name, _) in model.variables]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+def test_ilp_read_rejects_non_finite_value(files, capsys, value):
+    model = emit_ilp(Dag(2, ((1, 2),)), 1, S=2)
+    lines = [f"{name} {value if name == 'comp_1_1_1' else 0}"
+             for (name, _) in model.variables]
+    assert lines[0].startswith("comp_1_1_1 ")
+    dag = files("d.dag", EDGE_DAG)
+    sol = files("m.sol", "\n".join(lines) + "\n")
+    code, _, err = run(capsys, "ilp-read", "--dag", dag, "-P", "1",
+                       "--supersteps", "2", "--solution", sol)
+    assert code == 1
+    assert err.startswith("error: line 1:")
+
+
+_MUTATIONS = ("drop", "duplicate", "abc", "0.5", "inf", "-inf", "nan", "1e400")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10**6)),
+                min_size=1, max_size=3))
+def test_ilp_read_fuzzed_solution_fails_cleanly(mutations):
+    lines = _edge_solution()
+    for kind, at in mutations:
+        i = at % len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[i].split()[0] + " " + kind
+        if not lines:
+            break
+    with tempfile.TemporaryDirectory() as tmp:
+        dag, sol = Path(tmp) / "d.dag", Path(tmp) / "m.sol"
+        dag.write_text(EDGE_DAG)
+        sol.write_text("\n".join(lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ilp-read", "--dag", str(dag), "-P", "1",
+                         "--supersteps", "2", "--solution", str(sol)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().strip().endswith("# cost 2")
+    else:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_hrel(files, capsys):

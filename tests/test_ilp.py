@@ -1,12 +1,15 @@
+import hashlib
 import itertools
+import random
 from pathlib import Path
 
 import pytest
 
 from bspsched.commsched import CsInstance, cs_bruteforce
-from bspsched.dag import Dag, gen_taxonomy_fixture
+from bspsched.dag import Dag, gen_taxonomy_fixture, random_dag
 from bspsched.ilp import (
     IlpError,
+    IlpModel,
     check_assignment,
     count_vars_constraints,
     emit_ilp,
@@ -107,17 +110,78 @@ def test_render_sections_and_golden():
     assert text == (DATA / "path4_db.lp").read_text()
 
 
-def test_render_rejects_degenerate_model():
-    from bspsched.ilp import IlpModel
+def _lp_grid():
+    """288 models: three random DAGs, each plain and weighted, P in 1..3,
+    S in {1, 3}, all four models, duplication off and on, (g, L) cycling."""
+    gls = itertools.cycle(((1, 0), (2, 3), (0, 1)))
+    for n in (1, 3, 5):
+        plain = random_dag(n, 0.5, random.Random(5))
+        weighted = Dag(n, plain.edges,
+                       work_weight={v: v % 3 + 1 for v in range(1, n + 1)},
+                       comm_weight={v: (v + 1) % 3 + 1 for v in range(1, n + 1)})
+        for dag in (plain, weighted):
+            for P in (1, 2, 3):
+                for S in (1, 3):
+                    for cm in MODELS.values():
+                        for duplication in (False, True):
+                            g, L = next(gls)
+                            yield emit_ilp(dag, P, S=S, g=g, L=L, model=cm,
+                                           duplication=duplication)
 
+
+def test_render_grid_digest():
+    # the digest of the LP text as the name-based model rendered it
+    digest = hashlib.sha256()
+    count = 0
+    for model in _lp_grid():
+        model.check()
+        digest.update(render_lp(model).encode())
+        count += 1
+    assert count == 288
+    assert digest.hexdigest() == (
+        "00ff4d288e3e76a94a65943b7ccdcb2248dbea240233faf8830e89a067023d12")
+
+
+def test_render_rejects_degenerate_model():
     with pytest.raises(IlpError):
         render_lp(IlpModel(variables=[("x", ("binary",))]))
+
+
+@pytest.mark.parametrize("row, rel", [
+    (([-1], [1]), "<="),   # would wrap to the last name
+    (([2], [1]), "<="),    # past the name table
+    (([0, 1], [1]), "<="),
+    (([0], [1]), "<>"),
+    (([], []), "<="),
+])
+def test_hand_built_rows_rejected(row, rel):
+    model = IlpModel(variables=[("x", ("binary",)), ("y", ("binary",))],
+                     constraints=[("c", row, rel, 0)], objective=([0], [1]))
+    with pytest.raises(IlpError):
+        model.check()
+    with pytest.raises(IlpError):
+        render_lp(model)
+
+
+def test_hand_built_objective_checked():
+    model = IlpModel(variables=[("x", ("binary",))],
+                     constraints=[("c", ([0], [1]), "<=", 1)], objective=([1], [1]))
+    with pytest.raises(IlpError):
+        render_lp(model)
+    model.objective = ([0], [1])
+    assert render_lp(model).startswith("Minimize\n obj: x\nSubject To\n c: x <= 1\n")
 
 
 def test_parse_solution():
     text = "# solver log\ncomp_1_1_1 1\ncwork_1 0.0\n\nused_1 1\n"
     vals = parse_solution(text)
     assert vals == {"comp_1_1_1": 1.0, "cwork_1": 0.0, "used_1": 1.0}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_parse_solution_rejects_non_finite(value):
+    with pytest.raises(IlpError, match="line 2"):
+        parse_solution(f"comp_1_1_1 1\ncwork_1 {value}\n")
 
 
 def _single_node_point():
@@ -173,6 +237,15 @@ def test_read_solution_rejects_fractional():
     model, assignment = _single_node_point()
     assignment["comp_1_1_1"] = 0.5
     with pytest.raises(IlpError):
+        read_solution(model, assignment)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_value_is_fractional(value):
+    model, assignment = _single_node_point()
+    assignment["comp_1_1_1"] = value
+    assert check_assignment(model, assignment) == ["fractional:comp_1_1_1"]
+    with pytest.raises(IlpError, match="comp_1_1_1"):
         read_solution(model, assignment)
 
 
