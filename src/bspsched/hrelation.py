@@ -3,12 +3,16 @@
 An h-relation (every processor sends <= h and receives <= h values) can always
 be realized in exactly h time slots when values are unit size: pad the demand
 matrix to an h-regular bipartite multigraph and peel off perfect matchings.
+`decompose` peels the lexicographically smallest one each round. That
+matching changes only when a pair runs out of demand, so it is computed once
+per change, at most P² times, each in O(P³), and written out once per
+slot: O(P⁵ + h·P) in all, where one matching per slot costs h·O(P⁵).
 The weighted analogue fails; a fixed counterexample with a non-preemptive
 placement checker is provided.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 
 class HRelationError(Exception):
@@ -46,84 +50,100 @@ class DemandMatrix:
         return max(max(rows), max(cols))
 
 
-def _max_matching_rect(mult: List[List[int]], cols: int) -> int:
-    """Maximum matching size: rows of mult against `cols` receivers."""
-    match_col = [-1] * cols
+def _augment(mult: List[List[int]], match: List[int], owner: List[int],
+             p: int, seen: List[bool]) -> bool:
+    """Kuhn's augmenting-path step: give sender p a receiver, moving the
+    owners of receivers along one alternating path."""
+    for q, x in enumerate(mult[p]):
+        if x and not seen[q]:
+            seen[q] = True
+            if owner[q] < 0 or _augment(mult, match, owner, owner[q], seen):
+                match[p], owner[q] = q, p
+                return True
+    return False
 
-    def search(p: int, seen: List[bool]) -> bool:
-        for q in range(cols):
-            if mult[p][q] > 0 and not seen[q]:
-                seen[q] = True
-                if match_col[q] == -1 or search(match_col[q], seen):
-                    match_col[q] = p
-                    return True
-        return False
 
-    size = 0
-    for p in range(len(mult)):
-        if search(p, [False] * cols):
-            size += 1
-    return size
+def _lex_min(mult: List[List[int]], match: List[int], owner: List[int]) -> None:
+    """Turn the perfect matching into the lexicographically smallest one by
+    (sender, receiver), in place. With senders < p fixed, sender p can take
+    receiver c < match[p] exactly when owner[c] can hand its receiver along a
+    chain of senders > p that ends by taking match[p]; one reverse search
+    from match[p] finds every such owner, and the chain is rotated."""
+    P = len(match)
+    for p in range(P):
+        mp, row = match[p], mult[p]
+        if not any(row[c] and owner[c] > p for c in range(mp)):
+            continue
+        via = [-1] * P  # via[r]: the sender whose receiver r takes over
+        queue = [p]
+        for x in queue:
+            c = match[x]
+            for r in range(p + 1, P):
+                if via[r] < 0 and mult[r][c]:
+                    via[r] = x
+                    queue.append(r)
+        c = next((c for c in range(mp) if row[c] and via[owner[c]] >= 0), None)
+        if c is None:
+            continue
+        r = owner[c]
+        match[p], owner[c] = c, p
+        while r != p:
+            x = via[r]
+            c = mp if x == p else match[x]
+            match[r], owner[c] = c, r
+            r = x
 
 
 def decompose(matrix: DemandMatrix) -> List[List[Tuple[int, int]]]:
     """Return exactly h slots; each slot is a partial matching of (p1, p2)
     pairs (1-indexed), and the multiset union over slots equals the matrix.
 
-    Padding: senders and receivers below degree h get artificial pairs
-    (greedily, in index order) until the multigraph is h-regular; artificial
-    pairs are dropped from the output. Each round extracts the
-    lexicographically smallest perfect matching by (sender, receiver).
+    Padding: each sender below degree h gets artificial pairs, to receivers
+    in index order, as many as both still lack, so the multigraph becomes
+    h-regular (self-pairs allowed); artificial pairs are dropped from the
+    output. Each round extracts the lexicographically smallest perfect
+    matching by (sender, receiver) and spends real demand on a pair before
+    artificial. That matching depends only on which pairs have demand left,
+    so it is found once and emitted k times in a row, k the smallest demand
+    left on its pairs; each such block exhausts a pair. So at most P²
+    matchings are computed, each in O(P³) (Kuhn completion of the previous
+    one, then one O(P²) search per sender), plus O(h·P) to write the slots,
+    instead of h·O(P⁵) for a fresh search in every slot.
     """
     P = matrix.P
     h = matrix.h
     real = [list(row) for row in matrix.entries]
-    art = [[0] * P for _ in range(P)]
-    row_deg = [sum(real[p]) for p in range(P)]
+    mult = [list(row) for row in matrix.entries]  # real plus artificial
+    row_deg = [sum(row) for row in real]
     col_deg = [sum(real[p][q] for p in range(P)) for q in range(P)]
-    # pad to h-regular (self-pairs allowed among artificial edges)
     for p in range(P):
-        while row_deg[p] < h:
-            q = min(range(P), key=lambda q: (col_deg[q] >= h, q))
-            if col_deg[q] >= h:
-                raise HRelationError("padding failed")  # cannot happen
-            art[p][q] += 1
-            row_deg[p] += 1
-            col_deg[q] += 1
+        for q in range(P):
+            add = min(h - row_deg[p], h - col_deg[q])
+            if add > 0:
+                mult[p][q] += add
+                row_deg[p] += add
+                col_deg[q] += add
+        if row_deg[p] < h:
+            raise HRelationError("padding failed")  # cannot happen
 
-    def completable(mult, p_next: int, used: Set[int]) -> bool:
-        # can senders p_next..P-1 be perfectly matched into unused receivers?
-        sub = [
-            [mult[p][q] if q not in used else 0 for q in range(P)]
-            for p in range(p_next, P)
-        ]
-        return _max_matching_rect(sub, P) == P - p_next
-
+    match, owner = [-1] * P, [-1] * P
     slots: List[List[Tuple[int, int]]] = []
-    for _ in range(h):
-        mult = [[real[p][q] + art[p][q] for q in range(P)] for p in range(P)]
-        chosen: List[Tuple[int, int]] = []
-        used: Set[int] = set()
+    while len(slots) < h:
         for p in range(P):
-            picked = False
-            for q in range(P):
-                if mult[p][q] == 0 or q in used:
-                    continue
-                if completable(mult, p + 1, used | {q}):
-                    chosen.append((p, q))
-                    used.add(q)
-                    picked = True
-                    break
-            if not picked:
+            q = match[p]
+            if q >= 0 and not mult[p][q]:
+                match[p] = owner[q] = -1
+        for p in range(P):
+            if match[p] < 0 and not _augment(mult, match, owner, p, [False] * P):
                 raise HRelationError("no perfect matching found")  # cannot happen
-        slot = []
-        for (p, q) in chosen:
-            if real[p][q] > 0:
-                real[p][q] -= 1
-                slot.append((p + 1, q + 1))
-            else:
-                art[p][q] -= 1
-        slots.append(slot)
+        _lex_min(mult, match, owner)
+        pairs = list(enumerate(match))
+        k = min(mult[p][q] for (p, q) in pairs)
+        for t in range(k):
+            slots.append([(p + 1, q + 1) for (p, q) in pairs if real[p][q] > t])
+        for (p, q) in pairs:
+            mult[p][q] -= k
+            real[p][q] = max(real[p][q] - k, 0)
     return slots
 
 

@@ -486,7 +486,8 @@ def read_solution(
     model: IlpModel, assignment: Dict[str, float]
 ) -> Tuple[BspSchedule, int]:
     """Reconstruct the schedule encoded by a solved model and verify that its
-    cost equals the objective value."""
+    cost equals the objective value. A missing, non-integer or out-of-domain
+    value raises IlpError naming the variable."""
     dag, P, S = model.dag, model.P, model.S
     if dag is None or model.model is None:
         raise IlpError("model lacks build context")
@@ -501,6 +502,7 @@ def read_solution(
             raise IlpError(f"assignment misses variable {name}")
         if tag == "fractional":
             raise IlpError(f"variable {name} has non-integer value {x}")
+        raise IlpError(f"variable {name} has value {x} outside its domain")
 
     direct = cm.transfer == "direct"
     broadcast = cm.cast == "broadcast"

@@ -66,6 +66,21 @@ def test_criterion_01_cost_worked_example_under_1s():
 
 # ---------------------------------------------------------------- criterion 2
 
+def _check_slots(matrix, slots):
+    """Exactly h slots, each a partial matching, rebuilding the matrix."""
+    P = matrix.P
+    assert len(slots) == matrix.h
+    rebuilt = [[0] * P for _ in range(P)]
+    for slot in slots:
+        senders = [p for (p, _) in slot]
+        receivers = [q for (_, q) in slot]
+        assert len(set(senders)) == len(senders)
+        assert len(set(receivers)) == len(receivers)
+        for (p, q) in slot:
+            rebuilt[p - 1][q - 1] += 1
+    assert tuple(tuple(row) for row in rebuilt) == matrix.entries
+
+
 def test_criterion_02_hrelation_decomposition_500_random_under_5s():
     start = time.monotonic()
     rng = random.Random(20240)
@@ -76,18 +91,30 @@ def test_criterion_02_hrelation_decomposition_500_random_under_5s():
             for p in range(P)
         )
         matrix = DemandMatrix(entries)
-        slots = decompose(matrix)
-        assert len(slots) == matrix.h
-        rebuilt = [[0] * P for _ in range(P)]
-        for slot in slots:
-            senders = [p for (p, _) in slot]
-            receivers = [q for (_, q) in slot]
-            assert len(set(senders)) == len(senders)
-            assert len(set(receivers)) == len(receivers)
-            for (p, q) in slot:
-                rebuilt[p - 1][q - 1] += 1
-        assert tuple(tuple(row) for row in rebuilt) == entries
+        _check_slots(matrix, decompose(matrix))
     assert time.monotonic() - start < 5
+
+
+def test_criterion_02_hrelation_decomposition_at_scale_under_1s_each():
+    rng = random.Random(24600)
+    P, h = 24, 600
+    dense = [[0] * P for _ in range(P)]
+    for _ in range(h):  # h random derangements summed
+        while True:
+            perm = list(range(P))
+            rng.shuffle(perm)
+            if all(perm[i] != i for i in range(P)):
+                break
+        for i in range(P):
+            dense[i][perm[i]] += 1
+    single = [[0] * 8 for _ in range(8)]
+    single[2][5] = 20000
+    for entries in (dense, single):
+        matrix = DemandMatrix(tuple(tuple(row) for row in entries))
+        start = time.monotonic()
+        slots = decompose(matrix)
+        assert time.monotonic() - start < 1
+        _check_slots(matrix, slots)
 
 
 # ---------------------------------------------------------------- criterion 3

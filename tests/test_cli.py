@@ -251,6 +251,20 @@ def test_ilp_read_rejects_non_finite_value(files, capsys, value):
     assert err.startswith("error: line 1:")
 
 
+def test_ilp_read_rejects_out_of_domain_value(files, capsys):
+    model = emit_ilp(Dag(1, ()), 1, S=1)
+    values = encode_schedule(model, BspSchedule(1, 1, {1: ((1, 1),)}))
+    values["pres_1_1_1"] = 5
+    lines = [f"{name} {values[name]}" for (name, _) in model.variables]
+    dag = files("d.dag", "1 0\n")
+    sol = files("m.sol", "\n".join(lines) + "\n")
+    code, out, err = run(capsys, "ilp-read", "--dag", dag, "-P", "1",
+                         "--supersteps", "1", "--solution", sol)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: variable pres_1_1_1 has value 5")
+
+
 _MUTATIONS = ("drop", "duplicate", "abc", "0.5", "inf", "-inf", "nan", "1e400")
 
 
@@ -293,6 +307,25 @@ def test_hrel(files, capsys):
     assert lines[0] == "h 2"
     assert lines[1].startswith("slot 1:")
     assert len(lines) == 3
+
+
+# a 6x6 matrix with an empty row and unequal row and column sums, so the
+# decomposition pads with artificial pairs, self-pairs included
+HREL6 = """0 3 0 1 0 2
+1 0 0 0 4 0
+0 0 0 0 0 0
+2 1 0 0 0 1
+0 0 5 0 0 0
+1 0 0 2 0 0
+"""
+
+
+def test_hrel_output_is_byte_stable(files, capsys):
+    matrix = files("m6.txt", HREL6)
+    code, out, _ = run(capsys, "hrel", "--matrix", matrix)
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "hrel6.txt"
+    assert out.encode() == golden.read_bytes()
 
 
 def test_oracle_subcommand(files, capsys):

@@ -249,6 +249,14 @@ def test_non_finite_value_is_fractional(value):
         read_solution(model, assignment)
 
 
+def test_read_solution_rejects_out_of_domain_value():
+    model, assignment = _single_node_point()
+    assignment["pres_1_1_1"] = 5
+    assert check_assignment(model, assignment) == ["domain:pres_1_1_1"]
+    with pytest.raises(IlpError, match="pres_1_1_1 has value 5"):
+        read_solution(model, assignment)
+
+
 def test_read_solution_rejects_unassigned_node():
     model, assignment = _single_node_point()
     assignment["comp_1_1_1"] = 0
