@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .dag import Dag, classify
-from .schedule import BspSchedule, CommModel, DS
+from .schedule import BspSchedule, CommModel, DS, MachineParams
 
 # the exact chain searches refuse larger machines: their enumeration grows
 # exponentially in P
@@ -285,6 +285,7 @@ def _chain_search(
     `best`."""
     if not 1 <= P <= MAX_P:
         raise ChainError(f"P={P} is outside 1..{MAX_P}")
+    MachineParams(g, L)  # raises ScheduleError on a negative g or L
     chains = dec.chains
     root = dec.root
     n = dec.node_count

@@ -161,6 +161,7 @@ def emit_ilp(
         S = _default_s(dag, P)
     if S < 1:
         raise IlpError("S must be >= 1")
+    MachineParams(g, L)  # raises ScheduleError on a negative g or L
     n = dag.node_count
     direct = model.transfer == "direct"
     broadcast = model.cast == "broadcast"

@@ -7,7 +7,7 @@ values are true optima. Budgets make refusal explicit instead of thrashing.
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dag import Dag
 from .schedule import (
@@ -31,7 +31,6 @@ class OracleBudget:
     max_nodes: int = 8
     max_p: int = 3
     max_s: Optional[int] = None          # defaults to n
-    max_time_horizon: Optional[int] = None  # defaults to the serial makespan
     node_budget: int = 10**8
     spd_max_nodes: int = 5
     spd_max_g: int = 2
@@ -62,59 +61,6 @@ class _Counter:
         self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("search node budget exhausted")
-
-
-def _automorphisms(
-    dag: Dag, order: List[int], max_count: int = 24
-) -> List[Dict[int, int]]:
-    """Non-identity weight-preserving automorphisms of the DAG. Relabeling a
-    schedule along one preserves validity and cost, so the search may insist
-    on the lexicographically minimal superstep sequence among the images.
-    Returns [] (disabling the pruning) when the DAG is large or the group
-    exceeds the cap."""
-    n = dag.node_count
-    if n > 64 or n < 2:
-        return []
-    pred = dag.pred()
-    succ = dag.succ()
-    level: Dict[int, int] = {}
-    for v in order:
-        level[v] = 1 + max((level[u] for u in pred[v]), default=0)
-    sig = {
-        v: (level[v], len(pred[v]), len(succ[v]), dag.w_work(v), dag.w_comm(v))
-        for v in order
-    }
-    pred_sets = {v: set(pred[v]) for v in order}
-    steps = [200000]  # effort cap
-    found: List[Dict[int, int]] = []
-
-    def extend(i: int, m: Dict[int, int], used: Set[int]) -> None:
-        if len(found) > max_count:
-            raise BudgetExceeded("too many automorphisms")
-        if i == len(order):
-            found.append(dict(m))
-            return
-        w = order[i]
-        want = {m[x] for x in pred_sets[w]}
-        for cand in order:
-            steps[0] -= 1
-            if steps[0] < 0:
-                raise BudgetExceeded("automorphism search capped")
-            if cand in used or sig[cand] != sig[w]:
-                continue
-            if pred_sets[cand] != want:
-                continue
-            m[w] = cand
-            used.add(cand)
-            extend(i + 1, m, used)
-            del m[w]
-            used.discard(cand)
-
-    try:
-        extend(0, {}, set())
-    except BudgetExceeded:
-        return []
-    return [m for m in found if any(m[v] != v for v in m)]
 
 
 def _greedy_path_cover(dag: Dag) -> List[List[int]]:
@@ -280,54 +226,7 @@ def brute_opt_bsp(
 
     max_s = budget.max_s or n
 
-    # symmetry pruning: keep only schedules whose superstep sequence (in
-    # search order) is lexicographically minimal among automorphic relabelings
-    sym_maps: List[List[int]] = []
-    if not duplication:
-        pos = {v: i for i, v in enumerate(order)}
-        for auto in _automorphisms(dag, order):
-            # image_pos[i] = search position of the image of order[i]
-            sym_maps.append([pos[auto[order[i]]] for i in range(n)])
-
     def search_fixed_s(S: int):
-        s_of = [0] * n  # superstep per search position, 0 while unplaced
-        sym_state = [[0, False] for _ in sym_maps]  # compare pointer, decided
-
-        def _sym_check():
-            # advance the prefix comparison against each automorphic image;
-            # False means some image is lexicographically smaller
-            changed = []
-            ok = True
-            for j, imap in enumerate(sym_maps):
-                st = sym_state[j]
-                if st[1]:
-                    continue
-                ptr0 = st[0]
-                ptr = ptr0
-                while ptr < n:
-                    t = s_of[ptr]
-                    u = s_of[imap[ptr]]
-                    if not t or not u:
-                        break
-                    if t < u:
-                        st[1] = True
-                        break
-                    if t > u:
-                        ok = False
-                        break
-                    ptr += 1
-                if ptr != ptr0 or st[1]:
-                    changed.append((j, ptr0))
-                    st[0] = ptr
-                if not ok:
-                    break
-            return ok, changed
-
-        def _sym_restore(changed):
-            for (j, ptr0) in reversed(changed):
-                sym_state[j][0] = ptr0
-                sym_state[j][1] = False
-
         # _apply/_unapply keep the bound state below up to date: a search
         # node updates what its placement changed instead of recomputing it.
         work_ps = [[0] * P for _ in range(S)]
@@ -468,15 +367,7 @@ def brute_opt_bsp(
                         options.append(((p, s),))
             for copies in options:
                 undo = _apply(v, copies)
-                if sym_maps:
-                    s_of[idx] = copies[0][1]
-                    ok, changed = _sym_check()
-                    if ok:
-                        place(idx + 1)
-                    _sym_restore(changed)
-                    s_of[idx] = 0
-                else:
-                    place(idx + 1)
+                place(idx + 1)
                 _unapply(v, copies, undo)
 
         def _dup_options(v: int, used: int):
@@ -618,6 +509,7 @@ def brute_opt_timed(
     n = dag.node_count
     if model not in ("classical", "classical_barrier", "commdelay", "spd"):
         raise ValueError(f"unknown timed model {model!r}")
+    MachineParams(g, 0)  # raises ScheduleError on a negative g
     if n > budget.max_nodes:
         raise BudgetExceeded(f"{n} nodes exceed the budget ({budget.max_nodes})")
     if P > budget.max_p:
@@ -647,7 +539,6 @@ def brute_opt_timed(
     for v in reversed(order):
         lp_from[v] = w[v] + max((lp_from[x] for x in succ[v]), default=0)
     lb = max(max(ef), -(-total // P))
-    horizon_cap = budget.max_time_horizon or total
     barrier = model == "classical_barrier"
     delay = g if model in ("commdelay", "spd") else 0
 
@@ -794,8 +685,6 @@ def brute_opt_timed(
         return place(0, 0)
 
     for T in range(lb, total + 1):
-        if T > horizon_cap:
-            raise BudgetExceeded("time horizon budget exhausted")
         found = feasible(T)
         if found is not None:
             return found, T

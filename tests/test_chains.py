@@ -13,7 +13,16 @@ from bspsched.chains import (
 )
 from bspsched.dag import Dag
 from bspsched.oracle import OracleBudget, brute_opt_bsp
-from bspsched.schedule import DB, DS, FB, FS, MachineParams, check_validity, cost
+from bspsched.schedule import (
+    DB,
+    DS,
+    FB,
+    FS,
+    MachineParams,
+    ScheduleError,
+    check_validity,
+    cost,
+)
 
 
 def chain_dag(lengths, root=False):
@@ -114,6 +123,16 @@ def test_solve_chain_rejects_root_and_large_p():
     _, dec = dec_of([2, 2])
     with pytest.raises(ChainError):
         solve_chain(dec, 4, 1, 0)
+
+
+@pytest.mark.parametrize("g, L", [(-1, 0), (1, -1)])
+def test_chain_solvers_reject_negative_g_or_L(g, L):
+    _, dec = dec_of([3, 2])
+    with pytest.raises(ScheduleError, match="nonnegative"):
+        solve_chain(dec, 2, g, L)
+    _, dec = rooted_dec([2, 2])
+    with pytest.raises(ScheduleError, match="nonnegative"):
+        solve_connected_chain(dec, 2, g, L)
 
 
 def test_solve_connected_examples():

@@ -362,6 +362,20 @@ def test_ratios_cell_missing_key_is_domain_error(capsys):
     assert "error:" in err and "width" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("chain-solve", "--chains", "3,2", "-P", "2", "-g", "-1", "-L", "-1"),
+    ("ilp-emit", "--dag", "{dag}", "-P", "2", "--supersteps", "2",
+     "-g", "-1", "-L", "-2"),
+    ("oracle", "--dag", "{dag}", "-P", "2", "--model", "commdelay", "-g", "-2"),
+    ("ratios", "layered", "--cell", "length=2;width=2;P=2;g=-1"),
+], ids=lambda argv: argv[0])
+def test_negative_g_or_L_is_domain_error(files, capsys, argv):
+    dag = files("d.dag", "3 2\n1 2\n2 3\n")
+    code, out, err = run(capsys, *(arg.format(dag=dag) for arg in argv))
+    assert code == 1 and out == ""
+    assert "nonnegative" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["cost"]) == 2
     assert main(["not-a-command"]) == 2

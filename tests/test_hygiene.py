@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every local a function assigns is read.
+"""Source hygiene: every name a module imports is used in that module, every
+local a function assigns is read, and every parameter a function takes is
+read.
 
 Walks the syntax tree of each module in the package; ``__init__.py`` is
 exempt from the import check because its imports are the public re-exports.
@@ -63,6 +64,34 @@ def unused_locals(source: str):
     return sorted(found)
 
 
+def unused_params(source: str):
+    """(line, function, name) of each parameter that its function's body never
+    reads. Reads in nested functions count; lambdas, ``self``, ``cls`` and
+    names starting with ``_`` are exempt."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = func.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            node.id for stmt in func.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            (a.lineno, func.name, a.arg) for a in params
+            if a.arg not in read and a.arg not in ("self", "cls")
+            and not a.arg.startswith("_")
+        ]
+    return sorted(found)
+
+
+# (module, function, parameter) kept on purpose: bench/workloads.py passes
+# greedy_chain's g positionally
+UNUSED_PARAMS_ALLOWED = {("chains.py", "greedy_chain", "g")}
+
+
 def test_modules_found():
     assert {p.stem for p in MODULES} >= {"dag", "schedule", "cli"}
 
@@ -97,3 +126,28 @@ def test_detects_unused_local():
         "    return inner\n"
     )
     assert unused_locals(source) == [(2, "n"), (3, "total")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_params(path):
+    found = unused_params(path.read_text(encoding="utf-8"))
+    assert [
+        (line, func, name) for (line, func, name) in found
+        if (path.name, func, name) not in UNUSED_PARAMS_ALLOWED
+    ] == []
+
+
+def test_detects_unused_param():
+    source = (
+        "class C:\n"
+        "    def m(self, a, b, *rest, c, _d, **kw):\n"
+        "        def inner(x):\n"
+        "            return a + x\n"
+        "        return inner, kw\n"
+        "    @classmethod\n"
+        "    def k(cls, e=len):\n"
+        "        return (lambda v: 1)\n"
+    )
+    assert unused_params(source) == [
+        (2, "m", "b"), (2, "m", "c"), (2, "m", "rest"), (7, "k", "e"),
+    ]

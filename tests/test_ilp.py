@@ -27,6 +27,7 @@ from bspsched.schedule import (
     MODELS,
     BspSchedule,
     MachineParams,
+    ScheduleError,
     check_validity,
     cost,
 )
@@ -90,6 +91,12 @@ def test_invalid_sizes_rejected():
         count_vars_constraints(PATH4, 0, 1, DS)
     with pytest.raises(IlpError):
         emit_ilp(PATH4, 2, S=0)
+
+
+@pytest.mark.parametrize("g, L", [(-1, 0), (1, -2)])
+def test_emit_rejects_negative_g_or_L(g, L):
+    with pytest.raises(ScheduleError, match="nonnegative"):
+        emit_ilp(PATH4, 2, S=2, g=g, L=L)
 
 
 def test_default_supersteps_by_shape():

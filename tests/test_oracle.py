@@ -17,6 +17,7 @@ from bspsched.schedule import (
     FB,
     FS,
     MachineParams,
+    ScheduleError,
     check_validity,
     cost,
 )
@@ -38,6 +39,14 @@ def test_budget_from_env(monkeypatch):
     assert b.max_nodes == 12 and b.max_p == 4
     monkeypatch.setenv("BSPSCHED_BUDGET", "bogus=1")
     with pytest.raises(ValueError):
+        OracleBudget.from_env()
+
+
+def test_budget_has_no_time_horizon_field(monkeypatch):
+    # the timed search never goes past the serial makespan, so a horizon
+    # cap is no budget field
+    monkeypatch.setenv("BSPSCHED_BUDGET", "max_time_horizon=5")
+    with pytest.raises(ValueError, match="unknown budget field"):
         OracleBudget.from_env()
 
 
@@ -71,6 +80,27 @@ def test_returned_schedule_cost_matches_opt():
             sched, opt = brute_opt_bsp(dag, 2, 2, 1, model)
             assert check_validity(dag, sched, model).valid
             assert cost(dag, sched, model, MachineParams(2, 1)).cost == opt
+
+
+
+# a root feeding three 3-node chains
+ARMS = Dag(10, ((1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (6, 7),
+                (1, 8), (8, 9), (9, 10)))
+
+
+@pytest.mark.parametrize("dag, optima", [
+    # optima at P=3 under ds then maxbsp, each for (g, L) = (1, 0), (2, 1)
+    pytest.param(gen_taxonomy_fixture("fork", length=3), (5, 7, 5, 7), id="fork3"),
+    pytest.param(gen_taxonomy_fixture("fork", length=5), (7, 9, 7, 9), id="fork5"),
+    pytest.param(ARMS, (6, 9, 5, 8), id="arms"),
+])
+def test_symmetric_dag_optima(dag, optima):
+    budget = OracleBudget(max_nodes=11)
+    got = tuple(
+        brute_opt_bsp(dag, 3, g, L, DS, budget, maxbsp=maxbsp)[1]
+        for maxbsp in (False, True) for (g, L) in ((1, 0), (2, 1))
+    )
+    assert got == optima
 
 
 def test_model_orderings():
@@ -152,6 +182,13 @@ def test_spd_oracle_and_conversion_bound():
         sched = convert_spd_to_bsp(dag, ts, g)
         assert check_validity(dag, sched, DS).valid
         assert cost(dag, sched, DS, MachineParams(g, 0)).cost <= 2 * ms
+
+
+
+@pytest.mark.parametrize("model", ["classical", "classical_barrier", "commdelay", "spd"])
+def test_timed_rejects_negative_g(model):
+    with pytest.raises(ScheduleError, match="nonnegative"):
+        brute_opt_timed(Dag(2, ((1, 2),)), 2, -1, model)
 
 
 def test_spd_budget_guard():
