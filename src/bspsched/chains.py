@@ -12,6 +12,7 @@ with a closed-form work bound. For fixed P the number of candidates is
 polynomial in the number of nodes, with a degree that grows with P.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -86,88 +87,54 @@ def _ceil_div(a: int, b: int) -> int:
 def greedy_chain(dec: ChainDecomposition, P: int, g: int) -> BspSchedule:
     """Valid schedule with at most P-1 unit transfers and work horizon
     max(ceil(n/P), longest chain): peel chains long enough to deserve their
-    own processor, then cut the concatenated remainder into equal blocks.
+    own processor, then lay the rest out by McNaughton's wrap-around rule
+    with q = ceil(rest/P_left) slots per processor.
 
-    Each block computes its outgoing cut prefix first and its incoming
-    continuation last, so one barrier per cut suffices.
+    A chain cut at a processor's last slot runs its first part first there
+    and its other part last on the next processor, so one barrier per cut
+    suffices: every remaining chain is shorter than q.
     """
     if dec.root is not None:
         raise ChainError("greedy splitter handles pure chain DAGs only")
     if P < 1:
         raise ChainError("P must be >= 1")
-    chains = sorted(dec.chains, key=len, reverse=True)
-
-    solo: List[Tuple[int, ...]] = []
-    rest = chains
-    p_left = P
-    while p_left > 1 and rest and len(rest[0]) >= _ceil_div(
-        sum(len(c) for c in rest), p_left
+    rest = sorted(dec.chains, key=len, reverse=True)
+    runs = []  # (nodes, processor, local slot of the first node)
+    p = 1  # the first processor not yet used
+    while p < P and rest and len(rest[0]) >= _ceil_div(
+        sum(len(c) for c in rest), P - p + 1
     ):
-        solo.append(rest[0])
-        rest = rest[1:]
-        p_left -= 1
+        runs.append((rest.pop(0), p, 1))
+        p += 1
 
-    # timed layout: proc p, local slot t (1-based); then slice into supersteps
-    timed: Dict[int, Tuple[int, int]] = {}
-    boundaries: Set[int] = set()
-    transfers: List[Tuple[int, int, int, int]] = []  # (value, p1, p2, boundary)
-    for i, chain in enumerate(solo):
-        for t, v in enumerate(chain, start=1):
-            timed[v] = (i + 1, t)
-    if rest:
-        seq = [v for c in rest for v in c]
-        heads = {c[0] for c in rest}
-        q = _ceil_div(len(seq), p_left)
-        blocks = [seq[j * q: (j + 1) * q] for j in range(p_left)]
-        blocks = [b for b in blocks if b]
-        conts = []
-        for block in blocks:
-            cont = 0
-            if block[0] not in heads:
-                while cont < len(block) and block[cont] not in heads:
-                    cont += 1
-            conts.append(cont)
-        for j, block in enumerate(blocks):
-            proc = len(solo) + j + 1
-            cont = conts[j]
-            # the continuation of the previous block's chain runs last; the
-            # chain spilling into the next block runs first so its value is
-            # ready at the cut boundary
-            lead, mid = block[:cont], block[cont:]
-            spills = j + 1 < len(blocks) and conts[j + 1] > 0
-            out: List[int] = []
-            if spills and mid:
-                k = len(mid)
-                while k > 0 and mid[k - 1] not in heads:
-                    k -= 1
-                out, mid = mid[k - 1:], mid[:k - 1]
-            for t, v in enumerate(out + mid, start=1):
-                timed[v] = (proc, t)
-            for t, v in enumerate(lead, start=q - cont + 1):
-                timed[v] = (proc, t)
-            if spills:
-                # sender finishes its spilling prefix by slot len(out); the
-                # receiver resumes strictly after slot q - cont of the next
-                # block, and len(out) <= q - conts[j+1] always holds because
-                # every remaining chain is shorter than q
-                boundaries.add(len(out))
-                transfers.append((block[-1], proc, proc + 1, len(out)))
+    sends: List[Tuple[int, int, int]] = []  # (value, sender, slot it ends)
+    q = _ceil_div(sum(len(c) for c in rest), P - p + 1)
+    room, whole = q, []  # whole: p's uncut chains
+    for chain in rest:
+        if len(chain) <= room:
+            whole += chain
+            room -= len(chain)
+        else:  # cut: `room` nodes start p, the other b end p + 1
+            b = len(chain) - room
+            sends.append((chain[room - 1], p, room))
+            runs.append(([*chain[:room], *whole], p, 1))
+            runs.append((chain[room:], p + 1, q - b + 1))
+            p, room, whole = p + 1, q - b, []
+        if not room:
+            runs.append((whole, p, 1))
+            p, room, whole = p + 1, q, []
+    runs.append((whole, p, 1))
 
-    cuts = sorted(boundaries)
-
-    def sup_of(t: int) -> int:
-        s = 1
-        for b in cuts:
-            if t > b:
-                s += 1
-        return s
-
-    S = len(cuts) + 1
-    assign = {v: ((p, sup_of(t)),) for v, (p, t) in timed.items()}
+    cuts = sorted({t for _, _, t in sends})
+    assign = {
+        v: ((p, bisect_left(cuts, t) + 1),)
+        for nodes, p, first in runs
+        for t, v in enumerate(nodes, start=first)
+    }
     comms = frozenset(
-        (value, p1, p2, sup_of(b)) for (value, p1, p2, b) in transfers
+        (v, p, p + 1, bisect_left(cuts, t) + 1) for v, p, t in sends
     )
-    return BspSchedule(P, S, assign, comms)
+    return BspSchedule(P, len(cuts) + 1, assign, comms)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +283,6 @@ def _chain_search(
                 if model.transfer == "free":
                     senders += [q for q in partial if partial[q][0] + 1 <= r]
                 for snd in senders:
-                    if snd == p:
-                        continue
                     partial[p] = (r, snd)
                     yield from rec(i + 1, partial)
                     del partial[p]
@@ -402,19 +367,15 @@ def _chain_search(
                     grown[p] += len(chain)
                     nxt.setdefault(tuple(grown), rep + ((i, p),))
             vectors = nxt
-            if not vectors:
-                return
         for vec, rep in vectors.items():
             total, T = _level_free(base, list(vec), avail[1:], P, S)
             if total + comm < best[0]:
-                built = build(T, rep)
-                if built is not None:
-                    best[:] = [total + comm, S, *built]
+                best[:] = [total + comm, S, *build(T, rep)]
 
     def build(T: List[int], rep):
         """Assignment and comms of the placements, with the whole chains of
-        `rep` filling the capacity left under the profile T; None if one
-        does not fit."""
+        `rep` filling the capacity left under the profile T, which
+        _level_free made large enough for them."""
         assign: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         comms: Set[Tuple[int, int, int, int]] = set()
         if root:
@@ -443,8 +404,6 @@ def _chain_search(
                 pos += take
                 if pos == len(chain):
                     break
-            if pos != len(chain):
-                return None
         return assign, frozenset(comms)
 
     for S in range(1, min(n, (2 * P - 1) if root else P) + 1):

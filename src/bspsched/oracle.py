@@ -15,6 +15,7 @@ from .schedule import (
     CommModel,
     DS,
     MachineParams,
+    ScheduleError,
     cost as bsp_cost,
     normalize,
 )
@@ -35,6 +36,13 @@ class OracleBudget:
     spd_max_nodes: int = 5
     spd_max_g: int = 2
 
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            least = 0 if name in ("node_budget", "spd_max_g") else 1
+            if value is not None and value < least:
+                raise ValueError(f"budget field {name} must be >= {least}")
+
     @staticmethod
     def from_env(base: "OracleBudget" = None) -> "OracleBudget":
         base = base or OracleBudget()
@@ -47,7 +55,12 @@ class OracleBudget:
             key = key.strip()
             if key not in OracleBudget.__dataclass_fields__:
                 raise ValueError(f"unknown budget field {key!r}")
-            updates[key] = int(value)
+            try:
+                updates[key] = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"budget field {key} needs an integer, not {value!r}"
+                ) from None
         return replace(base, **updates)
 
 
@@ -86,18 +99,25 @@ def _greedy_path_cover(dag: Dag) -> List[List[int]]:
     return paths
 
 
-def _seed_schedules(
-    dag: Dag, P: int, maxbsp: bool
-) -> List[BspSchedule]:
-    """Cheap valid candidates used to prime the incumbent: the one-processor
-    schedule plus pipelined splits of a greedy path cover."""
+def _check_size(n: int, P: int, budget: OracleBudget) -> None:
+    if P < 1:
+        raise ScheduleError(f"P={P}: the processor count must be >= 1")
+    if n > budget.max_nodes:
+        raise BudgetExceeded(f"{n} nodes exceed the budget ({budget.max_nodes})")
+    if P > budget.max_p:
+        raise BudgetExceeded(f"P={P} exceeds the budget ({budget.max_p})")
+
+
+def _seed_schedules(dag: Dag, P: int) -> List[BspSchedule]:
+    """Cheap candidates used to prime the incumbent: the one-processor
+    schedule plus pipelined splits of a greedy path cover; _complete_and_cost
+    drops those that admit no communication."""
     n = dag.node_count
     seeds = [
         BspSchedule(P, 1, {v: ((1, 1),) for v in range(1, n + 1)})
     ]
     paths = _greedy_path_cover(dag)
     max_len = max(len(p) for p in paths)
-    gap = 2 if maxbsp else 1
 
     def compositions():
         # (first, middle*m, last) block patterns, plus even splits
@@ -127,20 +147,7 @@ def _seed_schedules(
             for idx, v in enumerate(path):
                 s = next(i for i, cut in enumerate(cuts, start=1) if idx < cut)
                 assign[v] = ((p, s),)
-        S = len(parts)
-        # quick feasibility screen before handing to the CS completer
-        ok = True
-        for (u, v) in dag.edges:
-            (pu, su) = assign[u][0]
-            (pv, sv) = assign[v][0]
-            if pu == pv and su > sv:
-                ok = False
-                break
-            if pu != pv and su + gap > sv:
-                ok = False
-                break
-        if ok:
-            seeds.append(BspSchedule(P, S, assign))
+        seeds.append(BspSchedule(P, len(parts), assign))
     return seeds
 
 
@@ -191,10 +198,7 @@ def brute_opt_bsp(
 ) -> Tuple[BspSchedule, int]:
     budget = budget or OracleBudget.from_env()
     n = dag.node_count
-    if n > budget.max_nodes:
-        raise BudgetExceeded(f"{n} nodes exceed the budget ({budget.max_nodes})")
-    if P > budget.max_p:
-        raise BudgetExceeded(f"P={P} exceeds the budget ({budget.max_p})")
+    _check_size(n, P, budget)
     params = MachineParams(g, L)
     counter = _Counter(budget.node_budget)
 
@@ -206,7 +210,7 @@ def brute_opt_bsp(
 
     # incumbent seeds (cheap upper bounds; always valid schedules)
     if not duplication:
-        for seed in _seed_schedules(dag, P, maxbsp):
+        for seed in _seed_schedules(dag, P):
             done = _complete_and_cost(dag, seed, model, params, maxbsp)
             if done is not None:
                 consider(*done)
@@ -304,8 +308,6 @@ def brute_opt_bsp(
             wlb = ssum
             if rem > slack:
                 wlb += -(-(rem - slack) // P)
-            if wlb < work_floor:
-                wlb = work_floor
             if rem and not duplication:
                 # precedence-aware tail bound: work whose earliest feasible
                 # superstep is >= s shares supersteps s..S with the work
@@ -510,10 +512,7 @@ def brute_opt_timed(
     if model not in ("classical", "classical_barrier", "commdelay", "spd"):
         raise ValueError(f"unknown timed model {model!r}")
     MachineParams(g, 0)  # raises ScheduleError on a negative g
-    if n > budget.max_nodes:
-        raise BudgetExceeded(f"{n} nodes exceed the budget ({budget.max_nodes})")
-    if P > budget.max_p:
-        raise BudgetExceeded(f"P={P} exceeds the budget ({budget.max_p})")
+    _check_size(n, P, budget)
     if model == "spd":
         if duplication:
             raise ValueError("duplication is not supported in the spd model")

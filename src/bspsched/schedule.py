@@ -23,12 +23,6 @@ class CommModel:
         if self.cast not in ("singlecast", "broadcast"):
             raise ScheduleError(f"bad cast {self.cast!r}")
 
-    @property
-    def code(self) -> str:
-        return ("d" if self.transfer == "direct" else "f") + (
-            "s" if self.cast == "singlecast" else "b"
-        )
-
 
 DS = CommModel("direct", "singlecast")
 DB = CommModel("direct", "broadcast")

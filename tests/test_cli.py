@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bspsched.cli import main
 from bspsched.dag import Dag
@@ -374,6 +374,62 @@ def test_negative_g_or_L_is_domain_error(files, capsys, argv):
     code, out, err = run(capsys, *(arg.format(dag=dag) for arg in argv))
     assert code == 1 and out == ""
     assert "nonnegative" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--dag", "{dag}", "-P", "0", "--model", "classical"),
+    ("oracle", "--dag", "{dag}", "-P", "-1", "--model", "spd"),
+    ("oracle", "--dag", "{dag}", "-P", "0"),
+    ("ratios", "layered", "--cell", "length=2;width=2;P=0;g=1"),
+], ids=["classical-P0", "spd-P-1", "ds-P0", "ratios-P0"])
+def test_p_below_one_is_domain_error(files, capsys, argv):
+    dag = files("d.dag", "3 2\n1 2\n2 3\n")
+    code, out, err = run(capsys, *(arg.format(dag=dag) for arg in argv))
+    assert code == 1 and out == ""
+    assert "processor count must be >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["max_s=-1", "max_s=0", "max_nodes"])
+def test_bad_budget_is_domain_error(files, capsys, monkeypatch, budget):
+    # max_s=-1 used to skip every superstep count and print the seed's cost
+    dag = files("fork3.dag", "7 6\n1 2\n2 3\n3 4\n1 5\n5 6\n6 7\n")
+    monkeypatch.setenv("BSPSCHED_BUDGET", budget)
+    code, out, err = run(capsys, "oracle", "--dag", dag, "-P", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: budget field max_")
+
+
+# every solver command that takes a machine size or cost parameter
+ORACLE_MODELS = ("ds", "db", "fs", "fb", "maxbsp", "classical", "barrier",
+                 "commdelay", "spd")
+NUMERIC_COMMANDS = [
+    ("oracle", "--dag", "{dag}", "-P", "{P}", "-g", "{g}", "-L", "{L}",
+     "--model", model) for model in ORACLE_MODELS
+] + [
+    ("ratios", "layered", "--cell", "length=2;width=2;P={P};g={g}"),
+    ("ratios", "two_minus_eps", "--cell", "g={g};k=1;P={P}"),
+    ("chain-solve", "--chains", "2,1", "-P", "{P}", "-g", "{g}", "-L", "{L}"),
+    ("chain-solve", "--chains", "2,1", "-P", "{P}", "-g", "{g}", "-L", "{L}",
+     "--greedy"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NUMERIC_COMMANDS), st.integers(-2, 3),
+       st.integers(-2, 3), st.integers(-2, 3))
+@example(NUMERIC_COMMANDS[ORACLE_MODELS.index("classical")], 0, 1, 0)
+def test_numeric_options_fail_cleanly(command, P, g, L):
+    with tempfile.TemporaryDirectory() as tmp:
+        dag = Path(tmp) / "path3.dag"
+        dag.write_text("3 2\n1 2\n2 3\n")
+        argv = [arg.format(dag=dag, P=P, g=g, L=L) for arg in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv
 
 
 def test_usage_errors_exit_two(capsys):

@@ -42,6 +42,28 @@ def test_budget_from_env(monkeypatch):
         OracleBudget.from_env()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_nodes", 0), ("max_p", 0), ("max_s", 0), ("max_s", -1),
+    ("spd_max_nodes", 0), ("node_budget", -1), ("spd_max_g", -1),
+])
+def test_budget_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=f"budget field {field} must be"):
+        OracleBudget(**{field: value})
+
+
+def test_budget_accepts_zero_node_budget_and_spd_g():
+    OracleBudget(node_budget=0, spd_max_g=0)
+
+
+def test_budget_from_env_names_non_integer_field(monkeypatch):
+    monkeypatch.setenv("BSPSCHED_BUDGET", "max_nodes")
+    with pytest.raises(ValueError, match="budget field max_nodes needs an integer"):
+        OracleBudget.from_env()
+    monkeypatch.setenv("BSPSCHED_BUDGET", "max_s=-1")
+    with pytest.raises(ValueError, match="budget field max_s must be >= 1"):
+        OracleBudget.from_env()
+
+
 def test_budget_has_no_time_horizon_field(monkeypatch):
     # the timed search never goes past the serial makespan, so a horizon
     # cap is no budget field
@@ -189,6 +211,43 @@ def test_spd_oracle_and_conversion_bound():
 def test_timed_rejects_negative_g(model):
     with pytest.raises(ScheduleError, match="nonnegative"):
         brute_opt_timed(Dag(2, ((1, 2),)), 2, -1, model)
+
+
+# optima that need transfers: (dag, P, g, optimum, transfers). On the fork,
+# 3 is impossible because value 1 cannot reach processor 2 before t = 3.
+SPD_TRANSFER_CASES = [
+    (gen_taxonomy_fixture("fork", length=2), 2, 1, 4, 1),
+    (Dag(4, ((1, 2), (1, 3), (2, 4), (3, 4)), work_weight={2: 3, 3: 3}),
+     2, 1, 6, 2),
+]
+
+
+@pytest.mark.parametrize("dag,P,g,optimum,transfers", SPD_TRANSFER_CASES,
+                         ids=["fork2", "weighted-diamond"])
+def test_spd_optimum_with_transfers(dag, P, g, optimum, transfers):
+    ts, ms = brute_opt_timed(dag, P, g, "spd")
+    assert ms == optimum
+    report, got = check_spd(dag, ts, g)
+    assert report.valid and got == optimum
+    assert len(ts.timed_comms) == transfers
+    sched = convert_spd_to_bsp(dag, ts, g)
+    assert check_validity(dag, sched, DS).valid
+    assert cost(dag, sched, DS, MachineParams(g, 0)).cost <= 2 * optimum
+
+
+@pytest.mark.parametrize("P", [0, -1])
+@pytest.mark.parametrize("model", ["classical", "classical_barrier", "commdelay", "spd"])
+def test_timed_rejects_p_below_one(model, P):
+    with pytest.raises(ScheduleError, match="processor count must be >= 1"):
+        brute_opt_timed(Dag(3, ((1, 2), (2, 3))), P, 1, model)
+
+
+@pytest.mark.parametrize("P", [0, -1])
+@pytest.mark.parametrize("kw", [{}, {"maxbsp": True}, {"duplication": True}],
+                         ids=["bsp", "maxbsp", "duplication"])
+def test_bsp_rejects_p_below_one(kw, P):
+    with pytest.raises(ScheduleError, match="processor count must be >= 1"):
+        brute_opt_bsp(Dag(3, ((1, 2), (2, 3))), P, 1, 0, **kw)
 
 
 def test_spd_budget_guard():

@@ -30,6 +30,9 @@ WEIGHTED = Dag(
     work_weight={2: 2, 3: 3, 5: 2, 8: 2},
 )
 SMALL = Dag(5, ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (4, 5)))
+WEIGHTED_DIAMOND = Dag(
+    4, ((1, 2), (1, 3), (2, 4), (3, 4)), work_weight={2: 3, 3: 3}
+)  # its spd optimum needs two transfers
 WEIGHTED_SMALL = Dag(
     5,
     ((1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)),
@@ -62,6 +65,7 @@ PINS = {
     "timed-classical-barrier": (_timed(CLASSWW, 3, 1, "classical_barrier"), 6, 23),
     "timed-commdelay": (_timed(HALVES, 3, 1, "commdelay"), 5, 559),
     "timed-spd": (_timed(SMALL, 2, 2, "spd"), 5, 12),
+    "timed-spd-transfers": (_timed(WEIGHTED_DIAMOND, 2, 1, "spd"), 6, 8),
     "timed-classical-barrier-duplication": (
         _timed(RECOMP, 3, 1, "classical_barrier", duplication=True), 5, 21),
 }
