@@ -131,9 +131,7 @@ def greedy_chain(dec: ChainDecomposition, P: int, g: int) -> BspSchedule:
         for nodes, p, first in runs
         for t, v in enumerate(nodes, start=first)
     }
-    comms = frozenset(
-        (v, p, p + 1, bisect_left(cuts, t) + 1) for v, p, t in sends
-    )
+    comms = [(v, p, p + 1, bisect_left(cuts, t) + 1) for v, p, t in sends]
     return BspSchedule(P, len(cuts) + 1, assign, comms)
 
 
@@ -264,7 +262,7 @@ def _chain_search(
     # one-processor schedule
     serial = {root: ((1, 1),)} if root else {}
     serial.update((v, ((1, 1),)) for c in chains for v in c)
-    best = [n, 1, serial, frozenset()]
+    best = [n, 1, serial, ()]
     used: Set[int] = set()
     placements: List[Tuple] = []  # (chain, split, rounds, owner) per path
 
@@ -404,7 +402,7 @@ def _chain_search(
                 pos += take
                 if pos == len(chain):
                     break
-        return assign, frozenset(comms)
+        return assign, comms
 
     for S in range(1, min(n, (2 * P - 1) if root else P) + 1):
         if work_floor + (g + L) * (S - 1) >= best[0]:

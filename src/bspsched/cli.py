@@ -22,6 +22,10 @@ from .schedule import (
 )
 
 
+# hrel writes one line per slot and h slots in all; larger h is refused
+MAX_HREL_H = 10**6
+
+
 class CliError(Exception):
     """Domain-level failure mapped to exit code 1."""
 
@@ -253,10 +257,12 @@ def _cmd_hrel(args) -> int:
         if not stripped:
             continue
         try:
-            rows.append(tuple(int(x) for x in stripped.replace(",", " ").split()))
+            rows.append([int(x) for x in stripped.replace(",", " ").split()])
         except ValueError:
             raise CliError(f"bad matrix line {stripped!r}") from None
-    matrix = DemandMatrix(tuple(rows))
+    matrix = DemandMatrix(rows)
+    if matrix.h > MAX_HREL_H:
+        raise CliError(f"h = {matrix.h} exceeds {MAX_HREL_H} slots")
     slots = decompose(matrix)
     print(f"h {matrix.h}")
     for i, slot in enumerate(slots, start=1):

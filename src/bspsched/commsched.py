@@ -7,10 +7,11 @@ fixed assignment can be charged the same way by the caller.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .dag import Dag
-from .schedule import CommModel, MachineParams, comm_loads, overlapped_cost, work_loads
+from .schedule import CommModel, MachineParams, comm_loads, frozen_assign, \
+    overlapped_cost, work_loads
 
 
 class CsError(Exception):
@@ -21,31 +22,30 @@ class CsError(Exception):
 class CsInstance:
     """A DAG with fixed processors and supersteps, communications still open.
 
-    assign maps node -> ((p, s), ...); multiple copies appear only when the
-    caller works with duplication. maxbsp shifts the legal send windows by one
-    (values sendable only strictly after being computed, consumed strictly
-    after arriving).
+    assign maps node -> ((p, s), ...), kept as a read-only copy; multiple
+    copies appear only when the caller works with duplication. maxbsp shifts
+    the legal send windows by one (values sendable only strictly after being
+    computed, consumed strictly after arriving).
     """
 
     dag: Dag
     P: int
     S: int
-    assign: Dict[int, Tuple[Tuple[int, int], ...]]
+    assign: Mapping[int, Tuple[Tuple[int, int], ...]]
     maxbsp: bool = False
 
     def __post_init__(self):
+        assign = frozen_assign(self.assign, self.P, self.S)
         for v in range(1, self.dag.node_count + 1):
-            if v not in self.assign or not self.assign[v]:
+            if v not in assign:
                 raise CsError(f"node {v} unassigned")
-            for (p, s) in self.assign[v]:
-                if not (1 <= p <= self.P and 1 <= s <= self.S):
-                    raise CsError(f"node {v} out of range")
+        object.__setattr__(self, "assign", assign)
         gap = 2 if self.maxbsp else 1
         for (u, v) in self.dag.edges:
-            for (pv, sv) in self.assign[v]:
-                if any(pu == pv and su <= sv for (pu, su) in self.assign[u]):
+            for (pv, sv) in assign[v]:
+                if any(pu == pv and su <= sv for (pu, su) in assign[u]):
                     continue
-                if not any(su + gap <= sv for (pu, su) in self.assign[u]):
+                if not any(su + gap <= sv for (pu, su) in assign[u]):
                     raise CsError(f"edge ({u}, {v}) admits no communication slot")
 
 

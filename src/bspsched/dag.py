@@ -6,6 +6,10 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 
+# parse_dag refuses larger node counts before it builds any per-node table
+MAX_NODES = 10**6
+
+
 class DagError(Exception):
     """Invalid DAG structure or malformed DAG file."""
 
@@ -127,6 +131,8 @@ def parse_dag(text: str) -> Dag:
     n, m = ints(lineno, header, 2)
     if n < 1 or m < 0:
         raise DagError(f"line {lineno}: bad header")
+    if n > MAX_NODES:
+        raise DagError(f"line {lineno}: {n} nodes exceed the limit of {MAX_NODES}")
     if len(lines) < 1 + m:
         raise DagError(f"expected {m} edge lines, found {len(lines) - 1}")
 

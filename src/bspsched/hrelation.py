@@ -21,20 +21,21 @@ class HRelationError(Exception):
 
 @dataclass(frozen=True)
 class DemandMatrix:
-    """P x P matrix of unit send demands; entry (p, q) counts values p -> q."""
+    """P x P matrix of unit send demands; entry (p, q) counts values p -> q.
+    entries is kept as a read-only copy, a tuple of row tuples."""
 
     entries: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         P = len(self.entries)
         for row in self.entries:
             if len(row) != P:
                 raise HRelationError("matrix must be square")
             if any(x < 0 for x in row):
                 raise HRelationError("demands must be nonnegative")
-        for p in range(P):
-            if self.entries[p][p] != 0:
-                raise HRelationError("diagonal must be zero")
+        if any(row[p] for p, row in enumerate(self.entries)):
+            raise HRelationError("diagonal must be zero")
 
     @property
     def P(self) -> int:
@@ -42,12 +43,8 @@ class DemandMatrix:
 
     @property
     def h(self) -> int:
-        P = self.P
-        if P == 0:
-            return 0
-        rows = [sum(self.entries[p]) for p in range(P)]
-        cols = [sum(self.entries[p][q] for p in range(P)) for q in range(P)]
-        return max(max(rows), max(cols))
+        """Largest row or column sum: the most one processor sends or receives."""
+        return max(map(sum, self.entries + tuple(zip(*self.entries))), default=0)
 
 
 def _augment(mult: List[List[int]], match: List[int], owner: List[int],

@@ -510,7 +510,7 @@ def read_solution(
     fs = (not direct) and not broadcast
     PS, nps = P * S, n * P * S
 
-    assign: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+    assign: Dict[int, List[Tuple[int, int]]] = {}
     comp = base["comp_v_p_s"]
     for v in range(1, n + 1):
         row = vals[comp + (v - 1) * PS: comp + v * PS]
@@ -519,7 +519,7 @@ def read_solution(
             raise IlpError(f"node {v} is never computed in the solution")
         if not model.duplication and len(copies) != 1:
             raise IlpError(f"node {v} computed {len(copies)} times")
-        assign[v] = tuple(copies)
+        assign[v] = copies
 
     comms = set()
     if fs:
@@ -550,7 +550,7 @@ def read_solution(
                 )
             comms.add((v + 1, senders[0] + 1, p + 1, s + 1))
 
-    sched = normalize(BspSchedule(P, S, assign, frozenset(comms)))
+    sched = normalize(BspSchedule(P, S, assign, comms))
     report = check_validity(dag, sched, cm, duplication=model.duplication)
     if not report.valid:
         raise IlpError(f"reconstructed schedule invalid: {report.violations[0]}")
@@ -593,7 +593,7 @@ def encode_schedule(model: IlpModel, sched: BspSchedule) -> Dict[str, int]:
     dag, P, S = model.dag, model.P, model.S
     if dag is None or model.model is None:
         raise IlpError("model lacks build context")
-    if sched.processor_count != P or sched.superstep_count > S or sched.edge_comms:
+    if sched.processor_count != P or sched.superstep_count > S:
         raise IlpError("schedule does not fit the model's processors and supersteps")
     n = dag.node_count
     for v in set(sched.assign) | {t[0] for t in sched.comms}:

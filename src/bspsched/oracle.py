@@ -170,10 +170,7 @@ def _complete_and_cost(
             gamma, total = cs_bruteforce(
                 inst, model, limit=64, objective="maxbsp", params=params
             )
-            full = BspSchedule(sched.processor_count, sched.superstep_count,
-                               sched.assign, comms=gamma)
-            return full, total
-        if inst.P == 2 and unit and all(
+        elif inst.P == 2 and unit and all(
             len(c) == 1 for c in sched.assign.values()
         ):
             gamma = cs_greedy_p2(inst)
@@ -183,7 +180,7 @@ def _complete_and_cost(
         return None
     full = BspSchedule(sched.processor_count, sched.superstep_count,
                        sched.assign, comms=gamma)
-    return full, bsp_cost(dag, full, model, params).cost
+    return full, total if maxbsp else bsp_cost(dag, full, model, params).cost
 
 
 def brute_opt_bsp(
@@ -343,7 +340,7 @@ def brute_opt_bsp(
             if best[1] is not None and lower_bound(best[1]) >= best[1]:
                 return
             if idx == n:
-                sched = BspSchedule(P, S, dict(placed))
+                sched = BspSchedule(P, S, placed)
                 done = _complete_and_cost(dag, sched, model, params, maxbsp)
                 if done is not None:
                     consider(*done)
@@ -599,7 +596,7 @@ def brute_opt_timed(
             return [s for s in range(t, ls[v] + 1) if not (free >> s) & mask]
 
         def leaf() -> Optional[TimedSchedule]:
-            ts = TimedSchedule(P, dict(placed), frozenset(comms))
+            ts = TimedSchedule(P, placed, comms)
             if model in ("classical", "classical_barrier"):
                 rep, mk = check_classical(dag, ts, barrier, duplication)
             elif model == "commdelay":

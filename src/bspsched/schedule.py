@@ -1,9 +1,14 @@
 """BSP schedules: validity under the four communication models and exact cost."""
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from .dag import Dag
+
+
+# cost tabulates every (superstep, processor) cell; larger P * S is refused
+MAX_CELLS = 10**6
 
 
 class ScheduleError(Exception):
@@ -41,44 +46,58 @@ class MachineParams:
             raise ScheduleError("g and L must be nonnegative")
 
 
+def frozen_assign(
+    assign: Mapping[int, Iterable[Sequence[int]]], P: int, S: float
+) -> Mapping[int, Tuple[Tuple[int, int], ...]]:
+    """A read-only copy of node -> copies, every node with at least one copy,
+    every copy a distinct (p, s) with 1 <= p <= P and 1 <= s <= S. A node's
+    copies are rebuilt only when they are not already a tuple of tuples."""
+    out = {}
+    for v, copies in assign.items():
+        if not copies:
+            raise ScheduleError(f"node {v} has no assignment")
+        frozen = type(copies) is tuple
+        for c in copies:
+            p, s = c
+            if not (1 <= p <= P and 1 <= s <= S):
+                raise ScheduleError(f"node {v} assigned out of range ({p},{s})")
+            frozen = frozen and type(c) is tuple
+        if not frozen:
+            copies = tuple(map(tuple, copies))
+        if len(copies) > 1 and len(set(copies)) != len(copies):
+            raise ScheduleError(f"node {v} has duplicate copies")
+        out[v] = copies
+    return MappingProxyType(out)
+
+
 @dataclass(frozen=True)
 class BspSchedule:
     """Assignment of nodes to (processor, superstep) plus communication tuples.
 
     assign maps each node to a tuple of (p, s) pairs; a single pair unless
-    duplication is in play. comms holds 4-tuples (v, p1, p2, s). Edge-based
-    schedules instead carry 5-tuples (u, v, p1, p2, s) in edge_comms.
+    duplication is in play. comms holds 4-tuples (v, p1, p2, s). Both are
+    kept as read-only copies: assign as a mapping of tuples, comms as a
+    frozenset.
     """
 
     processor_count: int
     superstep_count: int
-    assign: Dict[int, Tuple[Tuple[int, int], ...]]
+    assign: Mapping[int, Tuple[Tuple[int, int], ...]]
     comms: FrozenSet[Tuple[int, int, int, int]] = frozenset()
-    edge_comms: FrozenSet[Tuple[int, int, int, int, int]] = frozenset()
 
     def __post_init__(self):
         P, S = self.processor_count, self.superstep_count
         if P < 1 or S < 1:
             raise ScheduleError("processor and superstep counts must be >= 1")
-        for v, copies in self.assign.items():
-            if not copies:
-                raise ScheduleError(f"node {v} has no assignment")
-            for (p, s) in copies:
-                if not (1 <= p <= P and 1 <= s <= S):
-                    raise ScheduleError(f"node {v} assigned out of range ({p},{s})")
-            if len(set(copies)) != len(copies):
-                raise ScheduleError(f"node {v} has duplicate copies")
+        if P * S > MAX_CELLS:
+            raise ScheduleError(f"{P} processors x {S} supersteps exceed {MAX_CELLS} cells")
+        object.__setattr__(self, "assign", frozen_assign(self.assign, P, S))
+        object.__setattr__(self, "comms", frozenset(self.comms))
         for (v, p1, p2, s) in self.comms:
             if p1 == p2:
                 raise ScheduleError(f"comm tuple for {v} has p1 == p2")
             if not (1 <= p1 <= P and 1 <= p2 <= P and 1 <= s <= S):
                 raise ScheduleError(f"comm tuple {(v, p1, p2, s)} out of range")
-
-    def single(self, v: int) -> Tuple[int, int]:
-        copies = self.assign[v]
-        if len(copies) != 1:
-            raise ScheduleError(f"node {v} has {len(copies)} copies")
-        return copies[0]
 
 
 @dataclass(frozen=True)
@@ -156,17 +175,10 @@ def check_validity(
     relayed. Either way a good tuple makes v present on p2 from superstep
     s + 1; singlecast and broadcast only differ in cost. A consumer copy on p
     in superstep s needs its input computed on p by s or delivered to p by s.
-    Unknown values in tuples are bad sends. Schedules with edge_comms follow
-    the edge-based rule instead. O(n*c + |comms| log |comms| + m*c) for c
-    copies per node.
+    Unknown values in tuples are bad sends. O(n*c + |comms| log |comms| +
+    m*c) for c copies per node.
     """
     report = ValidityReport()
-    if sched.edge_comms and sched.comms:
-        report.add("structure", None, "both node and edge comm tuples present")
-        return report
-    if sched.edge_comms:
-        return _check_validity_edge_based(dag, sched, report)
-
     for v in range(1, dag.node_count + 1):
         if v not in sched.assign:
             report.add("assign", v, f"node {v} not assigned")
@@ -201,38 +213,8 @@ def check_validity(
     return report
 
 
-def _check_validity_edge_based(
-    dag: Dag, sched: BspSchedule, report: ValidityReport
-) -> ValidityReport:
-    """A tuple (u, v, p1, p2, s) must carry a DAG edge (u, v) from u's
-    processor, sent in u's superstep or later; it serves the edge when it
-    goes to v's processor before v's superstep."""
-    edges = set(dag.edges)
-    first_send: Dict[Tuple[int, int, int], int] = {}  # (u, v, target) -> superstep
-    for t in sched.edge_comms:
-        u, v, p1, p2, s = t
-        if (u, v) not in edges:
-            report.add("send", t, f"edge ({u}, {v}) not in the DAG")
-            continue
-        pu, su = sched.single(u)
-        if p1 != pu or su > s:
-            report.add("send", t, f"edge tuple {t} does not originate at node {u}")
-        if su <= s < first_send.get((u, v, p2), _NEVER):
-            first_send[(u, v, p2)] = s
-    for (u, v) in dag.edges:
-        pu, su = sched.single(u)
-        pv, sv = sched.single(v)
-        if pu == pv:
-            if su > sv:
-                report.add("edge", (u, v), "superstep order violated on one processor")
-            continue
-        if first_send.get((u, v, pv), _NEVER) >= sv:
-            report.add("edge", (u, v), f"no edge tuple delivers ({u}, {v})")
-    return report
-
-
 def work_loads(
-    dag: Dag, P: int, S: int, assign: Dict[int, Tuple[Tuple[int, int], ...]]
+    dag: Dag, P: int, S: int, assign: Mapping[int, Tuple[Tuple[int, int], ...]]
 ) -> List[int]:
     """Largest work of one processor in each superstep (index s - 1); every
     copy of a node counts."""
@@ -244,7 +226,7 @@ def work_loads(
 
 
 def comm_loads(
-    dag: Optional[Dag],
+    dag: Dag,
     P: int,
     S: int,
     tuples: Iterable[Tuple[int, int, int, int]],
@@ -254,9 +236,8 @@ def comm_loads(
     sent[s][p] and rec[s][p] are the units processor p sends and receives in
     superstep s, and h[s] = max over p of max(sent[s][p], rec[s][p]) is the
     h-relation. A tuple (v, p1, p2, s) charges w_comm(v) to p2 and to p1;
-    under broadcast p1 pays once per (v, s) however many targets it serves.
-    Without a DAG every tuple weighs one unit."""
-    w_comm = dag.w_comm if dag is not None else (lambda v: 1)
+    under broadcast p1 pays once per (v, s) however many targets it serves."""
+    w_comm = dag.w_comm
     sent = [[0] * P for _ in range(S)]
     rec = [[0] * P for _ in range(S)]
     charged = set()
@@ -293,25 +274,18 @@ def cost(
     model: CommModel,
     params: MachineParams,
 ) -> CostBreakdown:
-    """BSP cost sum_s [work(s) + g*h(s)] + L*#{s : h(s) > 0}. Schedules with
-    edge_comms are priced edge by edge, one unit per tuple, whatever the
-    model; the others per value with the model's cast. An assignment entry
-    or a tuple naming a node outside the DAG is an error."""
+    """BSP cost sum_s [work(s) + g*h(s)] + L*#{s : h(s) > 0}, each value
+    priced with the model's cast. An assignment entry or a tuple naming a
+    node outside the DAG is an error."""
     P, S = sched.processor_count, sched.superstep_count
-    if sched.edge_comms and sched.comms:
-        raise ScheduleError("both node and edge comm tuples present")
     n = dag.node_count
     for v in sched.assign:
         if not 1 <= v <= n:
             raise ScheduleError(f"node {v} is assigned but lies outside the DAG")
-    for t in sched.comms or sched.edge_comms:
-        if not (1 <= t[0] <= n and 1 <= t[-4] <= n):  # t[-4] is v in (u, v, p1, p2, s)
+    for t in sched.comms:
+        if not 1 <= t[0] <= n:
             raise ScheduleError(f"comm tuple {t} names a node outside the DAG")
-    if sched.edge_comms:
-        tuples = [(u, p1, p2, s) for (u, _, p1, p2, s) in sched.edge_comms]
-        sent, rec, comm = comm_loads(None, P, S, tuples, False)
-    else:
-        sent, rec, comm = comm_loads(dag, P, S, sched.comms, model.cast == "broadcast")
+    sent, rec, comm = comm_loads(dag, P, S, sched.comms, model.cast == "broadcast")
     work = work_loads(dag, P, S, sched.assign)
     latency_supersteps = sum(1 for c in comm if c > 0)
     work_total = sum(work)
@@ -337,8 +311,6 @@ def normalize(sched: BspSchedule) -> BspSchedule:
             used.add(s)
     for (_, _, _, s) in sched.comms:
         used.add(s)
-    for t in sched.edge_comms:
-        used.add(t[4])
     if not used:
         used = {1}
     remap = {s: i + 1 for i, s in enumerate(sorted(used))}
@@ -349,16 +321,13 @@ def normalize(sched: BspSchedule) -> BspSchedule:
             v: tuple((p, remap[s]) for (p, s) in copies)
             for v, copies in sched.assign.items()
         },
-        comms=frozenset((v, p1, p2, remap[s]) for (v, p1, p2, s) in sched.comms),
-        edge_comms=frozenset(
-            (u, v, p1, p2, remap[s]) for (u, v, p1, p2, s) in sched.edge_comms
-        ),
+        comms=[(v, p1, p2, remap[s]) for (v, p1, p2, s) in sched.comms],
     )
 
 
 def read_schedule_lines(
     text: str, dag: Dag, key: str
-) -> Tuple[Dict[int, Tuple[Tuple[int, int], ...]], FrozenSet[Tuple[int, int, int, int]], int]:
+) -> Tuple[Dict[int, List[Tuple[int, int]]], Set[Tuple[int, int, int, int]], int]:
     """Read the line-based schedule formats: "p v x [k]" puts copy k
     (default 1) of node v on processor x, "<key> v y [k]" gives that copy's
     superstep (key "s") or start time (key "at"), and "t v p1 p2 y" is a
@@ -398,7 +367,7 @@ def read_schedule_lines(
         missing = sorted(set(range(1, dag.node_count + 1)) - set(assign))
         raise ScheduleError(f"nodes without assignment: {missing}")
     P = max([x for (x, _) in proc.values()] + [t[i] for t in comms for i in (1, 2)])
-    return {v: tuple(pairs) for v, pairs in assign.items()}, frozenset(comms), P
+    return assign, comms, P
 
 
 def parse_schedule(text: str, dag: Dag) -> BspSchedule:

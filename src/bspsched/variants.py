@@ -7,7 +7,7 @@ t(u) + w(u) <= t(v) covers both unit and weighted inputs.
 """
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from .dag import Dag
 from .schedule import (
@@ -17,6 +17,7 @@ from .schedule import (
     ValidityReport,
     comm_loads,
     delivery_index,
+    frozen_assign,
     overlapped_cost,
     read_schedule_lines,
     work_loads,
@@ -25,20 +26,19 @@ from .schedule import (
 
 @dataclass(frozen=True)
 class TimedSchedule:
+    """Copies placed at (processor, start time) plus timed transfers, both
+    kept as read-only copies."""
+
     processor_count: int
-    assign: Dict[int, Tuple[Tuple[int, int], ...]]  # node -> ((p, t), ...)
+    assign: Mapping[int, Tuple[Tuple[int, int], ...]]  # node -> ((p, t), ...)
     timed_comms: FrozenSet[Tuple[int, int, int, int]] = frozenset()  # (v,p1,p2,t0)
 
     def __post_init__(self):
         P = self.processor_count
         if P < 1:
             raise ScheduleError("processor count must be >= 1")
-        for v, copies in self.assign.items():
-            if not copies:
-                raise ScheduleError(f"node {v} has no assignment")
-            for (p, t) in copies:
-                if not (1 <= p <= P) or t < 1:
-                    raise ScheduleError(f"node {v}: bad placement ({p}, {t})")
+        object.__setattr__(self, "assign", frozen_assign(self.assign, P, float("inf")))
+        object.__setattr__(self, "timed_comms", frozenset(self.timed_comms))
         for (v, p1, p2, t0) in self.timed_comms:
             if p1 == p2 or not (1 <= p1 <= P and 1 <= p2 <= P) or t0 < 1:
                 raise ScheduleError(f"bad timed comm {(v, p1, p2, t0)}")
@@ -229,14 +229,11 @@ def convert_spd_to_bsp(dag: Dag, ts: TimedSchedule, g: int) -> BspSchedule:
     for v, copies in ts.assign.items():
         (p, t) = copies[0]
         assign[v] = ((p, window(t)),)
-    comms = frozenset(
-        (v, p1, p2, window(t0)) for (v, p1, p2, t0) in ts.timed_comms
-    )
     return BspSchedule(
         processor_count=ts.processor_count,
         superstep_count=max(S, 1),
         assign=assign,
-        comms=comms,
+        comms=[(v, p1, p2, window(t0)) for (v, p1, p2, t0) in ts.timed_comms],
     )
 
 

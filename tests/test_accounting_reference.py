@@ -6,8 +6,8 @@ schedule.cost, commsched.comm_cost and variants.check_maxbsp each wrote out
 on their own before they shared schedule.work_loads and schedule.comm_loads
 (the ILP's cost variables are checked against the kernel through
 ilp.encode_schedule in criterion 8). The library must price random
-weighted schedules, with duplicated copies, broadcast fan-out and edge-based
-tuples, exactly as they did.
+weighted schedules, with duplicated copies and broadcast fan-out, exactly as
+they did.
 """
 
 import random
@@ -20,7 +20,7 @@ from bspsched.schedule import DS, MODELS, BspSchedule, MachineParams, cost
 from bspsched.variants import check_maxbsp
 
 
-def ref_cost(dag, sched, model, params, edge_based):
+def ref_cost(dag, sched, model, params):
     P, S = sched.processor_count, sched.superstep_count
     work_ps = [[0] * P for _ in range(S)]
     for v, copies in sched.assign.items():
@@ -28,19 +28,14 @@ def ref_cost(dag, sched, model, params, edge_based):
             work_ps[s - 1][p - 1] += dag.w_work(v)
     sent = [[0] * P for _ in range(S)]
     rec = [[0] * P for _ in range(S)]
-    if edge_based:
-        for (u, v, p1, p2, s) in sched.edge_comms:
-            sent[s - 1][p1 - 1] += 1
-            rec[s - 1][p2 - 1] += 1
+    if model.cast == "broadcast":
+        for (v, p1, s) in {(v, p1, s) for (v, p1, _, s) in sched.comms}:
+            sent[s - 1][p1 - 1] += dag.w_comm(v)
     else:
-        if model.cast == "broadcast":
-            for (v, p1, s) in {(v, p1, s) for (v, p1, _, s) in sched.comms}:
-                sent[s - 1][p1 - 1] += dag.w_comm(v)
-        else:
-            for (v, p1, p2, s) in sched.comms:
-                sent[s - 1][p1 - 1] += dag.w_comm(v)
         for (v, p1, p2, s) in sched.comms:
-            rec[s - 1][p2 - 1] += dag.w_comm(v)
+            sent[s - 1][p1 - 1] += dag.w_comm(v)
+    for (v, p1, p2, s) in sched.comms:
+        rec[s - 1][p2 - 1] += dag.w_comm(v)
     work = [max(row) if row else 0 for row in work_ps]
     comm = [max(max(sent[s][p], rec[s][p]) for p in range(P)) for s in range(S)]
     latency_supersteps = sum(1 for c in comm if c > 0)
@@ -138,13 +133,8 @@ def test_cost_matches_reference(n, P, S, max_copies, g, L, seed):
         for v in range(1, n + 1)
     }
     node = BspSchedule(P, S, assign, random_tuples(n, P, S, rng, rng.randint(0, 6)))
-    edge = BspSchedule(P, S, assign, edge_comms=frozenset(
-        (rng.randint(1, n), rng.randint(1, n), p1, p2, s)
-        for (_, p1, p2, s) in random_tuples(n, P, S, rng, rng.randint(0, 6))
-    ))
     for model in MODELS.values():
-        assert vars(cost(dag, node, model, params)) == ref_cost(dag, node, model, params, False)
-        assert vars(cost(dag, edge, model, params)) == ref_cost(dag, edge, model, params, True)
+        assert vars(cost(dag, node, model, params)) == ref_cost(dag, node, model, params)
 
 
 @settings(max_examples=100, deadline=None)

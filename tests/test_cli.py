@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bspsched.cli import main
-from bspsched.dag import Dag
+from bspsched.cli import MAX_HREL_H, main
+from bspsched.dag import MAX_NODES, Dag
 from bspsched.ilp import emit_ilp, encode_schedule
 from bspsched.schedule import BspSchedule
 
@@ -430,6 +430,115 @@ def test_numeric_options_fail_cleanly(command, P, g, L):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: "), argv
+
+
+def test_dag_above_node_cap_is_domain_error(files, capsys):
+    dag = files("big.dag", f"{MAX_NODES + 1} 0\n")
+    code, out, err = run(capsys, "classify", "--dag", dag)
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 1:")
+
+
+def test_hrel_above_slot_cap_is_domain_error(files, capsys):
+    matrix = files("m.txt", f"0 {MAX_HREL_H + 1}\n1 0\n")
+    code, out, err = run(capsys, "hrel", "--matrix", matrix)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: h = {MAX_HREL_H + 1}")
+
+
+@pytest.mark.parametrize("command", ["validate", "cost"])
+def test_schedule_above_cell_cap_is_domain_error(files, capsys, command):
+    # a processor number past the cap used to crash cost's per-processor table
+    dag = files("d.dag", "1 0\n")
+    sched = files("s.bsp", f"p 1 {10**20}\ns 1 1\n")
+    code, out, err = run(capsys, command, "--dag", dag, "--sched", sched)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
+def _exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith(("error: ", "invalid ", "warning: ")), argv
+
+
+# mostly small numbers in range; now and then one out of range or far past
+# every size cap
+_NUM = st.sampled_from([1, 2, 3] * 4 + [0, -1, 4, 10**20]).map(str)
+_JUNK = st.lists(
+    st.tuples(st.sampled_from(["p", "s", "t", "w", "c", "#", "x", ""]),
+              st.lists(_NUM, max_size=5)).map(lambda t: " ".join((t[0], *t[1]))),
+    max_size=2)
+
+
+def _schedule_text(nodes, comms, junk):
+    """Lines placing every copy of nodes 1..3, tuple lines and junk lines."""
+    lines = []
+    for v, copies in enumerate(nodes, start=1):
+        for k, (x, y) in enumerate(copies, start=1):
+            tag = f" {k}" if k > 1 else ""
+            lines += [f"p {v} {x}{tag}", f"s {v} {y}{tag}"]
+    return "\n".join(lines + [f"t {' '.join(t)}" for t in comms] + junk)
+
+
+def _dag_text(n, edges, weights, junk):
+    lines = [f"{n} {len(edges)}"] + [" ".join(e) for e in edges]
+    return "\n".join(lines + [" ".join(w) for w in weights] + junk)
+
+
+def _matrix_text(rows, zero_diagonal):
+    if zero_diagonal:
+        rows = [row[:i] + ["0"] + row[i + 1:] for i, row in enumerate(rows)]
+    return "\n".join(", ".join(row) for row in rows)
+
+
+_SCHEDULE_TEXT = st.builds(
+    _schedule_text,
+    st.lists(st.lists(st.tuples(_NUM, _NUM), min_size=1, max_size=2),
+             min_size=3, max_size=3),
+    st.lists(st.tuples(_NUM, _NUM, _NUM, _NUM), max_size=3),
+    _JUNK,
+)
+_DAG_TEXT = st.builds(
+    _dag_text,
+    _NUM,
+    st.lists(st.tuples(_NUM, _NUM), max_size=4),
+    st.lists(st.tuples(st.sampled_from("wc"), _NUM, _NUM), max_size=2),
+    _JUNK,
+)
+_MATRIX_TEXT = st.builds(
+    _matrix_text,
+    st.integers(1, 3).flatmap(
+        lambda P: st.lists(st.lists(_NUM, min_size=P, max_size=P + 1),
+                           min_size=P, max_size=P)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_input_text_fails_cleanly(data):
+    kind = data.draw(st.sampled_from(["validate", "cost", "classify", "hrel"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        dag, path = Path(tmp) / "d.dag", Path(tmp) / "input.txt"
+        dag.write_text("3 2\n1 2\n2 3\n")
+        if kind == "classify":
+            path.write_text(data.draw(_DAG_TEXT))
+            argv = ["classify", "--dag", str(path)]
+        elif kind == "hrel":
+            path.write_text(data.draw(_MATRIX_TEXT))
+            argv = ["hrel", "--matrix", str(path)]
+        else:
+            path.write_text(data.draw(_SCHEDULE_TEXT))
+            model = data.draw(st.sampled_from(["ds", "db", "fs", "fb"]))
+            argv = [kind, "--dag", str(dag), "--sched", str(path), "--model", model]
+            if kind == "validate" and data.draw(st.booleans()):
+                argv.append("--duplication")
+        _exits_cleanly(argv)
 
 
 def test_usage_errors_exit_two(capsys):

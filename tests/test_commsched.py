@@ -21,6 +21,20 @@ def instance(dag, P, S, assign, **kw):
     return CsInstance(dag, P, S, {v: (ps,) for v, ps in assign.items()}, **kw)
 
 
+def test_instance_stores_read_only_copy():
+    dag = Dag(2, ((1, 2),))
+    assign = {1: [[1, 1]], 2: ((2, 2),)}
+    inst = CsInstance(dag, 2, 2, assign)
+    assign[1][0][0] = 2
+    assign[2] = ((1, 1),)
+    assert inst.assign == {1: ((1, 1),), 2: ((2, 2),)}
+    with pytest.raises(TypeError):
+        inst.assign[2] = ((1, 1),)
+    with pytest.raises(TypeError):
+        inst.assign[1][0][0] = 2
+    assert cs_eager(inst) == {(1, 1, 2, 1)}
+
+
 def pipeline_instance():
     """Forced transfers both ways in most supersteps plus one flexible value
     computed on p2 in superstep 1 and needed on p1 only in superstep 4."""

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bspsched.dag import (
+    MAX_NODES,
     Dag,
     DagCycleError,
     DagError,
@@ -76,6 +77,12 @@ def test_weights_are_read_only_copies():
     with pytest.raises(TypeError):
         dag.comm_weight[2] = 0
     assert dag == Dag(2, ((1, 2),), work_weight={1: 2}, comm_weight={2: 3})
+
+
+def test_parse_rejects_node_count_above_cap():
+    with pytest.raises(DagError, match="exceed"):
+        parse_dag(f"{MAX_NODES + 1} 0\n")
+    assert parse_dag("3 0\n").node_count == 3
 
 
 def test_topo_order_respects_edges():

@@ -25,6 +25,16 @@ def check_slots(matrix, slots):
     assert count == [list(row) for row in matrix.entries]
 
 
+def test_matrix_stores_read_only_copy():
+    rows = [[0, 1], [1, 0]]
+    m = DemandMatrix(rows)
+    rows[0][1] = 7  # the caller's rows are not the matrix's
+    assert m.entries == ((0, 1), (1, 0)) and m.h == 1
+    with pytest.raises(TypeError):
+        m.entries[0][0] = 5
+    check_slots(m, decompose(m))
+
+
 def test_small_example():
     m = DemandMatrix(((0, 2), (1, 0)))
     assert m.h == 2

@@ -9,6 +9,7 @@ from bspsched.schedule import (
     DS,
     FB,
     FS,
+    MAX_CELLS,
     MODELS,
     BspSchedule,
     MachineParams,
@@ -114,11 +115,6 @@ def test_cost_rejects_comm_tuple_for_unknown_node():
     for model in MODELS.values():
         with pytest.raises(ScheduleError, match=r"\(99, 1, 2, 1\)"):
             cost(EDGE2, sched, model, MachineParams(1, 0))
-    edge = BspSchedule(
-        2, 2, single({1: (1, 1), 2: (2, 2)}), edge_comms=frozenset({(1, 7, 1, 2, 1)})
-    )
-    with pytest.raises(ScheduleError, match=r"\(1, 7, 1, 2, 1\)"):
-        cost(EDGE2, edge, DS, MachineParams(1, 0))
 
 
 def test_cost_rejects_assignment_for_unknown_node():
@@ -201,27 +197,33 @@ def test_duplicate_copies_both_count_as_work():
     assert cost(dag, sched, DS, MachineParams(0, 0)).cost == 1
 
 
-def test_edge_based_flag_mismatch_errors():
-    dag, sched = cost_fixture()
-    mixed = BspSchedule(
-        2, 1, sched.assign, sched.comms, edge_comms=frozenset({(1, 5, 1, 2, 1)})
-    )
-    with pytest.raises(ScheduleError):
-        cost(dag, mixed, DS, MachineParams(1, 0))
+def test_schedule_stores_read_only_copies():
+    assign = {1: ((1, 1),), 2: ((2, 2),)}
+    comms = {(1, 1, 2, 1)}
+    sched = BspSchedule(2, 2, assign, comms)
+    assign[2] = ((1, 1),)  # neither the caller's dict
+    comms.add((2, 2, 1, 1))  # nor its set is the schedule's
+    assert sched.assign == {1: ((1, 1),), 2: ((2, 2),)}
+    assert sched.comms == {(1, 1, 2, 1)}
+    with pytest.raises(TypeError):
+        sched.assign[1] = ((5, 5),)
+    with pytest.raises(AttributeError):
+        sched.comms.add((2, 2, 1, 1))
+    # inner lists are taken too, as tuples
+    inner = [[1, 1]]
+    listed = BspSchedule(2, 2, {1: inner, 2: [(2, 2)]}, comms)
+    inner[0][0] = 2
+    assert listed.assign == sched.assign
+    with pytest.raises(TypeError):
+        listed.assign[1][0][0] = 2
+    assert cost(EDGE2, listed, DS, MachineParams(1, 0)).cost == 3
 
 
-def test_edge_based_accounting():
-    dag = Dag(3, ((1, 2), (1, 3)))
-    sched = BspSchedule(
-        2,
-        2,
-        single({1: (1, 1), 2: (2, 2), 3: (2, 2)}),
-        frozenset(),
-        edge_comms=frozenset({(1, 2, 1, 2, 1), (1, 3, 1, 2, 1)}),
-    )
-    assert check_validity(dag, sched, DS).valid
-    # per-edge accounting charges both consumed edges
-    assert cost(dag, sched, DS, MachineParams(1, 0)).comm_total == 2
+def test_schedule_rejects_table_above_cap():
+    with pytest.raises(ScheduleError, match="exceed"):
+        BspSchedule(MAX_CELLS + 1, 1, {1: ((1, 1),)})
+    with pytest.raises(ScheduleError, match="exceed"):
+        parse_schedule(f"p 1 1\ns 1 {10**20}\n", Dag(1, ()))
 
 
 def test_normalize_strips_empty_supersteps():

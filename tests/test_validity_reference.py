@@ -46,8 +46,6 @@ def ref_presence(sched):
 
 def ref_check_validity(dag, sched, model, duplication):
     report = ValidityReport()
-    if sched.edge_comms:
-        return ref_edge_based(dag, sched, report)
     for v in range(1, dag.node_count + 1):
         copies = sched.assign[v]
         if not duplication and len(copies) != 1:
@@ -80,31 +78,6 @@ def ref_check_validity(dag, sched, model, duplication):
                     "edge", (u, v),
                     f"no tuple delivers value {u} to p{pv} before superstep {sv}",
                 )
-    return report
-
-
-def ref_edge_based(dag, sched, report):
-    edges = set(dag.edges)
-    for t in sched.edge_comms:
-        u, v, p1, p2, s = t
-        if (u, v) not in edges:
-            report.add("send", t, f"edge ({u}, {v}) not in the DAG")
-            continue
-        pu, su = sched.single(u)
-        if p1 != pu or su > s:
-            report.add("send", t, f"edge tuple {t} does not originate at node {u}")
-    for (u, v) in dag.edges:
-        pu, su = sched.single(u)
-        pv, sv = sched.single(v)
-        if pu == pv:
-            if su > sv:
-                report.add("edge", (u, v), "superstep order violated on one processor")
-            continue
-        if not any(
-            t[0] == u and t[1] == v and t[3] == pv and su <= t[4] < sv
-            for t in sched.edge_comms
-        ):
-            report.add("edge", (u, v), f"no edge tuple delivers ({u}, {v})")
     return report
 
 
@@ -187,27 +160,3 @@ def test_check_maxbsp_matches_reference(n, P, max_copies, seed):
     sched = random_schedule(dag, P, 2 * n + 1, rng, max_copies)
     report, _ = check_maxbsp(dag, sched, MachineParams(1, 1))
     assert multiset(report) == multiset(ref_maxbsp_violations(dag, sched))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 7), st.integers(2, 3), st.integers(0, 10**6))
-def test_edge_based_matches_reference(n, P, seed):
-    rng = random.Random(seed)
-    dag = random_dag(n, 0.5, rng)
-    single = random_schedule(dag, P, 2 * n + 1, rng, 1)
-    edge_comms = set()
-    for (u, v) in dag.edges:
-        (pu, su), (pv, sv) = single.assign[u][0], single.assign[v][0]
-        if pu != pv and rng.random() < 0.8:
-            p1 = pu if rng.random() < 0.8 else rng.randint(1, P)
-            if p1 != pv:
-                edge_comms.add((u, v, p1, pv, rng.randint(max(1, su - 1), single.superstep_count)))
-    for _ in range(rng.randint(0, 2)):
-        u, v = rng.sample(range(1, n + 1), 2)
-        p1, p2 = rng.sample(range(1, P + 1), 2)
-        edge_comms.add((u, v, p1, p2, rng.randint(1, single.superstep_count)))
-    sched = BspSchedule(P, single.superstep_count, single.assign,
-                        edge_comms=frozenset(edge_comms))
-    for model in MODELS.values():
-        got = check_validity(dag, sched, model)
-        assert multiset(got) == multiset(ref_check_validity(dag, sched, model, False))

@@ -22,6 +22,23 @@ def timed(P, assign, comms=()):
                          frozenset(comms))
 
 
+def test_timed_schedule_stores_read_only_copies():
+    assign = {1: [[1, 1]], 2: [(2, 3)]}
+    comms = {(1, 1, 2, 2)}
+    ts = TimedSchedule(2, assign, comms)
+    assign[1][0][0] = 2
+    assign[2] = ((1, 1),)
+    comms.add((2, 2, 1, 1))
+    assert ts.assign == {1: ((1, 1),), 2: ((2, 3),)}
+    assert ts.timed_comms == {(1, 1, 2, 2)}
+    with pytest.raises(TypeError):
+        ts.assign[1] = ((2, 2),)
+    with pytest.raises(TypeError):
+        ts.assign[1][0][0] = 2
+    with pytest.raises(AttributeError):
+        ts.timed_comms.add((2, 2, 1, 1))
+
+
 def test_classical_path_on_one_processor():
     dag = Dag(3, ((1, 2), (2, 3)))
     ts = timed(1, {1: (1, 1), 2: (1, 2), 3: (1, 3)})
