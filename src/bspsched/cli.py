@@ -151,8 +151,8 @@ def _parse_chain_lengths(text: str) -> List[int]:
 
 
 def _cmd_chain_solve(args) -> int:
-    from .chains import ChainDecomposition, ChainError, decompose_chains, \
-        greedy_chain, solve_chain, solve_connected_chain
+    from .chains import ChainDecomposition, decompose_chains, greedy_chain, \
+        solve_chain, solve_connected_chain
 
     if bool(args.dag) == bool(args.chains):
         raise CliError("provide exactly one of --dag and --chains")
@@ -212,36 +212,26 @@ def _cmd_cs(args) -> int:
     return 0
 
 
-def _cmd_ilp_emit(args) -> int:
-    from .ilp import emit_ilp, render_lp
+def _emit_ilp(args):
+    """The model ilp-emit writes; ilp-read rebuilds it from the same options."""
+    from .ilp import emit_ilp
 
-    dag = _load_dag(args.dag)
-    model = emit_ilp(
-        dag,
-        args.P,
-        S=args.supersteps,
-        g=args.g,
-        L=args.L,
-        model=_model(args.model),
-        duplication=args.duplication,
-    )
-    _write_out(render_lp(model), args.emit)
+    return emit_ilp(_load_dag(args.dag), args.P, S=args.supersteps, g=args.g,
+                    L=args.L, model=_model(args.model),
+                    duplication=args.duplication)
+
+
+def _cmd_ilp_emit(args) -> int:
+    from .ilp import render_lp
+
+    _write_out(render_lp(_emit_ilp(args)), args.emit)
     return 0
 
 
 def _cmd_ilp_read(args) -> int:
-    from .ilp import emit_ilp, parse_solution, read_solution
+    from .ilp import parse_solution, read_solution
 
-    dag = _load_dag(args.dag)
-    model = emit_ilp(
-        dag,
-        args.P,
-        S=args.supersteps,
-        g=args.g,
-        L=args.L,
-        model=_model(args.model),
-        duplication=args.duplication,
-    )
+    model = _emit_ilp(args)
     sched, c = read_solution(model, parse_solution(_read(args.solution)))
     sys.stdout.write(serialize_schedule(sched))
     print(f"# cost {c}")

@@ -77,28 +77,25 @@ def _direct_window(inst: CsInstance, src_sup: int, first_need: int) -> range:
     return range(lo, first_need)
 
 
-def cs_eager(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
-    """Send every needed cross value in the superstep it is computed."""
+def _send_at(inst: CsInstance, end: int) -> FrozenSet[Tuple[int, int, int, int]]:
     gamma = set()
     for req in cross_requirements(inst):
         (p1, s1) = inst.assign[req.value][0]
         window = _direct_window(inst, s1, req.first_need)
         if len(window) == 0:
             raise CsError(f"value {req.value} has no legal send superstep")
-        gamma.add((req.value, p1, req.target, window[0]))
+        gamma.add((req.value, p1, req.target, window[end]))
     return frozenset(gamma)
+
+
+def cs_eager(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
+    """Send every needed cross value in the superstep it is computed."""
+    return _send_at(inst, 0)
 
 
 def cs_lazy(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
     """Send every needed cross value in the superstep before first use."""
-    gamma = set()
-    for req in cross_requirements(inst):
-        (p1, s1) = inst.assign[req.value][0]
-        window = _direct_window(inst, s1, req.first_need)
-        if len(window) == 0:
-            raise CsError(f"value {req.value} has no legal send superstep")
-        gamma.add((req.value, p1, req.target, window[-1]))
-    return frozenset(gamma)
+    return _send_at(inst, -1)
 
 
 def comm_cost(

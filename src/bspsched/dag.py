@@ -225,11 +225,9 @@ def gen_layered(length: int, width: int, variant: str, gap: int = 1) -> Dag:
 
     edges = []
     for i1 in range(1, length + 1):
-        for i2 in range(i1 + 1, length + 1):
-            if variant == "adjacent" and i2 != i1 + 1:
-                continue
-            if variant == "delayed" and not (i1 + gap < i2):
-                continue
+        first = i1 + gap + 1 if variant == "delayed" else i1 + 1
+        last = i1 + 1 if variant == "adjacent" else length
+        for i2 in range(first, min(last, length) + 1):
             for j1 in range(1, width + 1):
                 for j2 in range(1, width + 1):
                     edges.append((node(i1, j1), node(i2, j2)))

@@ -49,6 +49,10 @@ class IlpError(Exception):
     pass
 
 
+# emit_ilp refuses more columns: 410,008 of them take about 330 MB to emit
+MAX_COLUMNS = 10**6
+
+
 Row = Tuple[Sequence[int], Sequence[int]]  # (cols, coefs)
 
 _RELATIONS = ("<=", ">=", "=")
@@ -170,8 +174,10 @@ def emit_ilp(
     PS = P * S
     nps = n * PS
 
+    families, base, ncols = _layout(dag, P, S, model)
+    if ncols > MAX_COLUMNS:
+        raise IlpError(f"{ncols} columns exceed the limit of {MAX_COLUMNS}")
     m = IlpModel(dag=dag, P=P, S=S, g=g, L=L, model=model, duplication=duplication)
-    families, base, _ = _layout(dag, P, S, model)
 
     # index suffixes, formatted once and shared by variable and constraint
     # names; position i of a family's list is its column base + i

@@ -76,6 +76,27 @@ class _Counter:
             raise BudgetExceeded("search node budget exhausted")
 
 
+def _copy_sets(P: int, used: int, starts) -> List[Tuple[Tuple[int, int], ...]]:
+    """The copy sets of one node under duplication: nonempty tuples of
+    (p, x) on distinct processors in increasing order, each x drawn from
+    starts(p). Processors 1..used are in use; one above used is offered only
+    right after the one below it, so new processors open lowest first and
+    relabelings of them are never enumerated. Each set precedes its
+    extensions."""
+    slots = [()] + [starts(p) for p in range(1, P + 1)]
+    sets = []
+
+    def grow(last: int, chosen: Tuple[Tuple[int, int], ...]):
+        for p in range(last + 1, min(max(last, used) + 1, P) + 1):
+            for x in slots[p]:
+                copies = chosen + ((p, x),)
+                sets.append(copies)
+                grow(p, copies)
+
+    grow(0, ())
+    return sets
+
+
 def _greedy_path_cover(dag: Dag) -> List[List[int]]:
     """Cover all nodes with vertex-disjoint paths, following the smallest
     unvisited successor; used only to build heuristic seed schedules."""
@@ -349,7 +370,7 @@ def brute_opt_bsp(
             used = used_hi
             options = []
             if duplication:
-                options = _dup_options(v, used)
+                options = _copy_sets(P, used, lambda p: starts(v, p))
             else:
                 for p in range(1, min(used + 1, P) + 1):
                     lo = 1
@@ -369,36 +390,14 @@ def brute_opt_bsp(
                 place(idx + 1)
                 _unapply(v, copies, undo)
 
-        def _dup_options(v: int, used: int):
-            opts = []
-            # enumerate nonempty copy sets on distinct processors
-            def grow(start_p: int, chosen: List[Tuple[int, int]]):
-                if chosen:
-                    touched = {p for (p, _) in chosen}
-                    hi = max(touched | {used})
-                    if set(range(used + 1, hi + 1)) <= touched:
-                        opts.append(tuple(sorted(chosen)))
-                if len(chosen) >= P:
-                    return
-                for p in range(start_p, P + 1):
-                    lo = 1
-                    ok = True
-                    for u in pred[v]:
-                        avail = min(
-                            (su if pu == p else su + gap)
-                            for (pu, su) in placed[u]
-                        )
-                        lo = max(lo, avail)
-                        if lo > S:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    for s in range(lo, S + 1):
-                        grow(p + 1, chosen + [(p, s)])
-
-            grow(1, [])
-            return opts
+        def starts(v: int, p: int) -> range:
+            # supersteps of a copy of v on p: each predecessor's earliest
+            # superstep on p over all of its copies bounds it from below
+            lo = 1
+            for u in pred[v]:
+                lo = max(lo, min((su if pu == p else su + gap)
+                                 for (pu, su) in placed[u]))
+            return range(lo, S + 1)
 
         def _apply(v: int, copies):
             nonlocal ssum, placed_w, rem, used_hi, comm_exact
@@ -545,15 +544,14 @@ def brute_opt_timed(
         comms: List[Tuple[int, int, int, int]] = []
         blocked = [0] * (T + 2)  # copies straddling each barrier boundary
 
-        def add_copy(v, p, t):
-            busy[p] |= ((1 << w[v]) - 1) << t
-            for b in range(t, t + w[v] - 1):
-                blocked[b] += 1
-
-        def drop_copy(v, p, t):
-            busy[p] &= ~(((1 << w[v]) - 1) << t)
-            for b in range(t, t + w[v] - 1):
-                blocked[b] -= 1
+        def mark(v, copies, sign):
+            # take (sign 1) or free (-1) the slots of v's copies; starts()
+            # offers only free slots, so one XOR does either
+            mask = (1 << w[v]) - 1
+            for (p, t) in copies:
+                busy[p] ^= mask << t
+                for b in range(t, t + w[v] - 1):
+                    blocked[b] += sign
 
         def prec_ok(v, p, t) -> bool:
             for u in pred[v]:
@@ -632,51 +630,26 @@ def brute_opt_timed(
             if idx == n:
                 return leaf()
             v = order[idx]
-            if not duplication:
-                for p in range(1, min(used + 1, P) + 1):
-                    for t in starts(v, p):
-                        placed[v] = ((p, t),)
-                        add_copy(v, p, t)
-                        if model == "spd":
-                            cross = [
-                                u for u in pred[v] if placed[u][0][0] != p
-                            ]
-                            found = spd_comms(idx, max(used, p), p, t, cross, 0)
-                        else:
-                            found = place(idx + 1, max(used, p))
-                        drop_copy(v, p, t)
-                        del placed[v]
-                        if found is not None:
-                            return found
-                return None
-            # duplication: enumerate copy sets on distinct processors
-            found_result: List[Optional[TimedSchedule]] = [None]
-
-            def grow(start_p: int, chosen: List[Tuple[int, int]]):
-                if found_result[0] is not None:
-                    return
-                if chosen:
-                    touched = {p for (p, _) in chosen}
-                    hi = max(touched | {used})
-                    if set(range(used + 1, hi + 1)) <= touched:
-                        placed[v] = tuple(chosen)
-                        found = place(idx + 1, hi)
-                        del placed[v]
-                        if found is not None:
-                            found_result[0] = found
-                            return
-                if len(chosen) >= P:
-                    return
-                for p in range(start_p, P + 1):
-                    for t in starts(v, p):
-                        add_copy(v, p, t)
-                        grow(p + 1, chosen + [(p, t)])
-                        drop_copy(v, p, t)
-                        if found_result[0] is not None:
-                            return
-
-            grow(1, [])
-            return found_result[0]
+            if duplication:
+                options = _copy_sets(P, used, lambda p: starts(v, p))
+            else:
+                options = [((p, t),) for p in range(1, min(used + 1, P) + 1)
+                           for t in starts(v, p)]
+            for copies in options:
+                placed[v] = copies
+                mark(v, copies, 1)
+                top = max(used, copies[-1][0])
+                if model == "spd":
+                    ((p, t),) = copies  # spd never duplicates
+                    cross = [u for u in pred[v] if placed[u][0][0] != p]
+                    found = spd_comms(idx, top, p, t, cross, 0)
+                else:
+                    found = place(idx + 1, top)
+                mark(v, copies, -1)
+                del placed[v]
+                if found is not None:
+                    return found
+            return None
 
         return place(0, 0)
 
@@ -691,6 +664,16 @@ RATIO_HEADER = "construction,params,model,opt,ratio"
 # the parameters each ratio construction reads from a grid cell
 _RATIO_CELL_KEYS = {"layered": ("length", "width", "P", "g"),
                    "two_minus_eps": ("g", "k", "P")}
+
+
+def _cell_nodes(construction: str, cell: Dict[str, int]) -> int:
+    """Node count of a grid cell's DAG; 0 for a cell whose generator raises
+    DagError, so that the generator reports it."""
+    if construction == "layered":
+        length, width = cell["length"], cell["width"]
+        return length * width if length >= 1 and width >= 1 else 0
+    k, p = cell["k"], cell["P"]
+    return (2 * k + 2) * p if cell["g"] >= 1 and k >= 1 and p >= 2 else 0
 
 
 def ratio_report(
@@ -716,18 +699,20 @@ def ratio_report(
 
     def cell_rows(cell: Dict[str, int]):
         params_str = ";".join(f"{k}={cell[k]}" for k in sorted(cell))
+        P, g = cell["P"], cell["g"]
         try:
+            nodes = _cell_nodes(construction, cell)
+            if nodes:  # refuse an oversized cell before building its DAG
+                _check_size(nodes, P, budget)
             if construction == "layered":
                 dagx = gen_layered(cell["length"], cell["width"], "adjacent")
-                P, g = cell["P"], cell["g"]
                 _, opt_a = brute_opt_timed(dagx, P, g, "classical", budget)
                 _, opt_b = brute_opt_timed(dagx, P, g, "commdelay", budget)
                 pairs = [("classical", opt_a), ("commdelay", opt_b)]
             else:
                 dagx = gen_taxonomy_fixture(
-                    "two_minus_eps", g=cell["g"], k=cell["k"], p=cell["P"]
+                    "two_minus_eps", g=g, k=cell["k"], p=P
                 )
-                P, g = cell["P"], cell["g"]
                 _, opt_a = brute_opt_bsp(dagx, P, g, 0, DS, budget, maxbsp=True)
                 _, opt_b = brute_opt_bsp(dagx, P, g, 0, DS, budget)
                 pairs = [("maxbsp", opt_a), ("bsp", opt_b)]

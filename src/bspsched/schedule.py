@@ -370,6 +370,24 @@ def read_schedule_lines(
     return assign, comms, P
 
 
+def write_schedule_lines(
+    assign: Mapping[int, Sequence[Tuple[int, int]]],
+    comms: Iterable[Tuple[int, int, int, int]],
+    key: str,
+) -> str:
+    """Write the format read_schedule_lines reads, with "<key> v y" lines for
+    superstep or start time; a node of several copies numbers them in
+    sorted order."""
+    out = []
+    for v in sorted(assign):
+        copies = sorted(assign[v])
+        for k, (x, y) in enumerate(copies, start=1):
+            tag = f" {k}" if len(copies) > 1 else ""
+            out += (f"p {v} {x}{tag}", f"{key} {v} {y}{tag}")
+    out += (f"t {v} {p1} {p2} {y}" for (v, p1, p2, y) in sorted(comms))
+    return "\n".join(out) + "\n"
+
+
 def parse_schedule(text: str, dag: Dag) -> BspSchedule:
     """Parse a BSP schedule file: "p v x [k]", "s v y [k]", "t v p1 p2 s"."""
     assign, comms, P = read_schedule_lines(text, dag, "s")
@@ -378,17 +396,4 @@ def parse_schedule(text: str, dag: Dag) -> BspSchedule:
 
 
 def serialize_schedule(sched: BspSchedule) -> str:
-    out = []
-    for v in sorted(sched.assign):
-        copies = sched.assign[v]
-        if len(copies) == 1:
-            (p, s) = copies[0]
-            out.append(f"p {v} {p}")
-            out.append(f"s {v} {s}")
-        else:
-            for k, (p, s) in enumerate(sorted(copies), start=1):
-                out.append(f"p {v} {p} {k}")
-                out.append(f"s {v} {s} {k}")
-    for (v, p1, p2, s) in sorted(sched.comms):
-        out.append(f"t {v} {p1} {p2} {s}")
-    return "\n".join(out) + "\n"
+    return write_schedule_lines(sched.assign, sched.comms, "s")

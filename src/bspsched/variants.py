@@ -21,6 +21,7 @@ from .schedule import (
     overlapped_cost,
     read_schedule_lines,
     work_loads,
+    write_schedule_lines,
 )
 
 
@@ -244,17 +245,4 @@ def parse_timed_schedule(text: str, dag: Dag) -> TimedSchedule:
 
 
 def serialize_timed_schedule(ts: TimedSchedule) -> str:
-    out = []
-    for v in sorted(ts.assign):
-        copies = ts.assign[v]
-        if len(copies) == 1:
-            (p, t) = copies[0]
-            out.append(f"p {v} {p}")
-            out.append(f"at {v} {t}")
-        else:
-            for k, (p, t) in enumerate(sorted(copies), start=1):
-                out.append(f"p {v} {p} {k}")
-                out.append(f"at {v} {t} {k}")
-    for (v, p1, p2, t0) in sorted(ts.timed_comms):
-        out.append(f"t {v} {p1} {p2} {t0}")
-    return "\n".join(out) + "\n"
+    return write_schedule_lines(ts.assign, ts.timed_comms, "at")

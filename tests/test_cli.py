@@ -1,5 +1,9 @@
 import contextlib
 import io
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bspsched.cli import MAX_HREL_H, main
 from bspsched.dag import MAX_NODES, Dag
-from bspsched.ilp import emit_ilp, encode_schedule
+from bspsched.ilp import MAX_COLUMNS, emit_ilp, encode_schedule
 from bspsched.schedule import BspSchedule
 
 COST_DAG = """9 0
@@ -87,6 +91,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_bounded(*argv, timeout, max_bytes=None):
+    """Run the CLI in a child interpreter that is killed after timeout
+    seconds; max_bytes caps its address space, so a runaway allocation
+    fails at once instead of filling the machine's memory."""
+    def limit():
+        if max_bytes:
+            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "bspsched.cli", *argv], capture_output=True,
+        text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=path),
+        preexec_fn=limit,
+    )
 
 
 def test_cost_worked_example(files, capsys):
@@ -265,6 +288,19 @@ def test_ilp_read_rejects_out_of_domain_value(files, capsys):
     assert err.startswith("error: variable pres_1_1_1 has value 5")
 
 
+@pytest.mark.parametrize("command", ["ilp-emit", "ilp-read"])
+def test_ilp_supersteps_above_column_cap_is_domain_error(files, command):
+    # 4.1 million columns: without the cap the model alone needs gigabytes
+    dag = files("path4.dag", "4 3\n1 2\n2 3\n3 4\n")
+    argv = [command, "--dag", dag, "-P", "2", "--supersteps", "100000"]
+    if command == "ilp-read":
+        argv += ["--solution", files("empty.sol", "")]
+    proc = run_bounded(*argv, timeout=60, max_bytes=2**30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert f"exceed the limit of {MAX_COLUMNS}" in proc.stderr
+
+
 _MUTATIONS = ("drop", "duplicate", "abc", "0.5", "inf", "-inf", "nan", "1e400")
 
 
@@ -354,6 +390,26 @@ def test_ratios_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "construction,params,model,opt,ratio"
     assert any(",commdelay,7,7/4" in line for line in lines)
+
+
+@pytest.mark.parametrize("construction,cell", [
+    ("layered", "length=100000;width=3;P=3;g=1"),
+    ("two_minus_eps", "g=1;k=100000;P=3"),
+])
+def test_ratios_skips_oversized_cell_without_building_it(construction, cell):
+    proc = run_bounded("ratios", construction, "--cell", cell, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].endswith(",-,skipped,")
+
+
+@pytest.mark.parametrize("construction,cell", [
+    ("layered", "length=-100000;width=-3;P=3;g=1"),
+    ("two_minus_eps", "g=0;k=100000;P=3"),
+])
+def test_ratios_bad_oversized_cell_is_domain_error(capsys, construction, cell):
+    code, out, err = run(capsys, "ratios", construction, "--cell", cell)
+    assert code == 1 and out == ""
+    assert "must be" in err or "requires" in err
 
 
 def test_ratios_cell_missing_key_is_domain_error(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -142,6 +143,40 @@ def test_gen_layered_delayed_edges():
 def test_gen_layered_width_one_is_chain():
     for ell in range(1, 6):
         assert classify(gen_layered(ell, 1, "adjacent")).is_chain
+
+
+def _layered_reference(length, width, variant, gap):
+    # every layer pair in order, filtered by the variant's rule
+    def node(layer, j):
+        return (layer - 1) * width + j
+
+    edges = []
+    for i1 in range(1, length + 1):
+        for i2 in range(i1 + 1, length + 1):
+            if variant == "adjacent" and i2 != i1 + 1:
+                continue
+            if variant == "delayed" and not (i1 + gap < i2):
+                continue
+            for j1 in range(1, width + 1):
+                for j2 in range(1, width + 1):
+                    edges.append((node(i1, j1), node(i2, j2)))
+    return tuple(edges)
+
+
+@pytest.mark.parametrize("variant", ["adjacent", "transitive", "delayed"])
+def test_gen_layered_matches_pairwise_reference(variant):
+    for length in range(1, 8):
+        for width in range(1, 4):
+            for gap in range(1, 4):
+                dag = gen_layered(length, width, variant, gap)
+                assert dag.edges == _layered_reference(length, width, variant, gap)
+
+
+def test_gen_layered_adjacent_is_linear_in_length():
+    start = time.perf_counter()
+    dag = gen_layered(10**5, 1, "adjacent")
+    assert time.perf_counter() - start < 5.0
+    assert len(dag.edges) == 10**5 - 1
 
 
 def test_fork_fixture_shape():

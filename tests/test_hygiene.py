@@ -16,15 +16,30 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str):
-    tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported.setdefault(name, node.lineno)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+    """(line, name) of each imported name that its scope never uses: the
+    module for a top-level import, the function, nested ones included, for
+    an import inside a function."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+            continue
+        imported = {}
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:  # the scope's own imports: nested functions are skipped
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = min(imported.get(name, node.lineno),
+                                         node.lineno)
+            stack.extend(ast.iter_child_nodes(node))
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        found += [(line, name) for name, line in imported.items()
+                  if name not in used]
+    return sorted(found)
 
 
 def unused_locals(source: str):
@@ -104,6 +119,18 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     assert unused_imports("from typing import Dict, List\nx: List = []\n") == [(1, "Dict")]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+    # a function's import counts as used only where that function reads it
+    source = (
+        "def f():\n"
+        "    from os import sep, getcwd\n"
+        "    def inner():\n"
+        "        return getcwd()\n"
+        "    return inner\n"
+        "def g():\n"
+        "    from os import sep\n"
+        "    return sep\n"
+    )
+    assert unused_imports(source) == [(2, "sep")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
