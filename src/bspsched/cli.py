@@ -297,8 +297,11 @@ def _parse_cell(text: str):
         if not part:
             continue
         key, _, value = part.partition("=")
+        key = key.strip()
+        if key in cell:
+            raise CliError(f"cell key {key!r} given twice")
         try:
-            cell[key.strip()] = int(value)
+            cell[key] = int(value)
         except ValueError:
             raise CliError(f"bad cell entry {part!r}") from None
     if not cell:

@@ -6,7 +6,8 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 
-# parse_dag refuses larger node counts before it builds any per-node table
+# parse_dag refuses larger node counts before it builds any per-node table,
+# and the generators larger node or edge counts before they build anything
 MAX_NODES = 10**6
 
 
@@ -206,6 +207,12 @@ def classify(dag: Dag) -> DagClass:
     return DagClass(is_chain, is_cc, is_in_tree, height)
 
 
+def _check_generated(nodes: int, edges: int) -> None:
+    if nodes > MAX_NODES or edges > MAX_NODES:
+        raise DagError(f"{nodes} nodes and {edges} edges exceed the limit of "
+                       f"{MAX_NODES} each")
+
+
 def gen_layered(length: int, width: int, variant: str, gap: int = 1) -> Dag:
     """Layered DAG of `length` layers and `width` nodes per layer.
 
@@ -219,6 +226,10 @@ def gen_layered(length: int, width: int, variant: str, gap: int = 1) -> Dag:
         raise DagError(f"unknown layered variant {variant!r}")
     if variant == "delayed" and gap < 1:
         raise DagError("delayed variant requires gap >= 1")
+    far = max(length - gap - 1, 0)  # delayed: layer pairs i1 + gap < i2
+    pairs = {"adjacent": length - 1, "transitive": length * (length - 1) // 2,
+             "delayed": far * (far + 1) // 2}[variant]
+    _check_generated(length * width, pairs * width * width)
 
     def node(layer: int, j: int) -> int:  # layer in [1..length], j in [1..width]
         return (layer - 1) * width + j
@@ -262,6 +273,7 @@ def gen_taxonomy_fixture(name: str, **params) -> Dag:
         ell = params["length"]
         if ell < 1:
             raise DagError("fork length must be >= 1")
+        _check_generated(2 * ell + 1, 2 * ell)
         a = list(range(2, ell + 2))
         b = list(range(ell + 2, 2 * ell + 2))
         edges = [(1, a[0]), (1, b[0])] + _chain_edges(a) + _chain_edges(b)
@@ -270,6 +282,7 @@ def gen_taxonomy_fixture(name: str, **params) -> Dag:
         g, k, p = params["g"], params["k"], params["p"]
         if g < 1 or k < 1 or p < 2:
             raise DagError("two_minus_eps requires g, k >= 1 and p >= 2")
+        _check_generated((2 * k + 2) * p, (4 * k + 1) * p)
         # p chains of 2k+2 nodes with work weights (1, g, ..., g, 1): the
         # weight-g interior nodes are exactly large enough to hide one
         # value transfer per superstep when communication may overlap
@@ -314,6 +327,7 @@ def gen_taxonomy_fixture(name: str, **params) -> Dag:
             # k0 = 1 would make the wrapped cross edges coincide with the
             # chain edges
             raise DagError("three_halves requires g >= 1 and k0 >= 2")
+        _check_generated(g * (g + 1) * k0, g * (g + 1) * k0)
         layers = g + 1
         comp_size = layers * k0
 

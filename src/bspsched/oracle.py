@@ -491,6 +491,47 @@ def brute_opt_bsp(
     return normalize(best[0]), best[1]
 
 
+def _timed_incumbent(dag: Dag, P: int, delay: Optional[int],
+                     rank: Sequence[int], span) -> Tuple[TimedSchedule, int]:
+    """A valid schedule and its makespan: the one-processor serial schedule
+    in topological order (valid in every timed model, makespan the total
+    work), or, unless delay is None, an earliest-task-first list schedule
+    (Hwang, Chow, Anger and Lee, 1989) if span (the model's checker: the
+    makespan, or None for an invalid schedule) accepts it with a smaller
+    makespan. The list schedule places, one at a time, the ready node and
+    processor with the earliest start; a value from another processor
+    arrives delay after its finish, and ties go to the larger rank, then
+    the lower processor, then the lower node."""
+    order, pred, succ = dag.topo_order(), dag.pred(), dag.succ()
+    serial, t = {}, 1
+    for v in order:
+        serial[v] = ((1, t),)
+        t += dag.w_work(v)
+    best = (TimedSchedule(P, serial), t - 1)
+    if delay is None:
+        return best
+    at: Dict[int, Tuple[int, int]] = {}  # placed node -> (processor, start)
+    done: Dict[int, int] = {}  # placed node -> first slot after it
+    free = [1] * (P + 1)  # first free slot of each processor
+    waiting = {v: len(pred[v]) for v in order}
+    ready = {v for v in order if not waiting[v]}
+    while ready:
+        t, _, p, v = min(
+            (max([free[p]] + [done[u] + (0 if at[u][0] == p else delay)
+                              for u in pred[v]]), -rank[v], p, v)
+            for v in ready for p in range(1, P + 1))
+        at[v], done[v] = (p, t), t + dag.w_work(v)
+        free[p] = done[v]
+        ready.remove(v)
+        for x in succ[v]:
+            waiting[x] -= 1
+            if not waiting[x]:
+                ready.add(x)
+    listed = TimedSchedule(P, {v: (c,) for v, c in at.items()})
+    mk = span(listed)
+    return (listed, mk) if mk is not None and mk < best[1] else best
+
+
 def brute_opt_timed(
     dag: Dag,
     P: int,
@@ -499,8 +540,12 @@ def brute_opt_timed(
     budget: Optional[OracleBudget] = None,
     duplication: bool = False,
 ) -> Tuple[TimedSchedule, int]:
-    """Exact minimum makespan for the timed models; iterates candidate
-    makespans upward, so the first feasible target is optimal."""
+    """Exact minimum makespan for the timed models. The incumbent is the
+    best of the one-processor serial schedule and, outside spd, an
+    earliest-task-first list schedule that the model's checker accepts;
+    candidate makespans then rise from the lower bound to just below the
+    incumbent's, so the first feasible target, or else the incumbent, is
+    optimal."""
     from .variants import check_classical, check_commdelay, check_spd
 
     budget = budget or OracleBudget.from_env()
@@ -536,6 +581,19 @@ def brute_opt_timed(
     lb = max(max(ef), -(-total // P))
     barrier = model == "classical_barrier"
     delay = g if model in ("commdelay", "spd") else 0
+
+    def span(ts: TimedSchedule) -> Optional[int]:
+        """The makespan of ts if the model's checker accepts it, else None."""
+        if model in ("classical", "classical_barrier"):
+            rep, mk = check_classical(dag, ts, barrier, duplication)
+        elif model == "commdelay":
+            rep, mk = check_commdelay(dag, ts, g)
+        else:
+            rep, mk = check_spd(dag, ts, g)
+        return mk if rep.valid else None
+
+    incumbent, U = _timed_incumbent(
+        dag, P, None if model == "spd" else delay, lp_from, span)
 
     def feasible(T: int) -> Optional[TimedSchedule]:
         ls = [T - lp_from[v] + 1 for v in range(n + 1)]
@@ -595,13 +653,8 @@ def brute_opt_timed(
 
         def leaf() -> Optional[TimedSchedule]:
             ts = TimedSchedule(P, placed, comms)
-            if model in ("classical", "classical_barrier"):
-                rep, mk = check_classical(dag, ts, barrier, duplication)
-            elif model == "commdelay":
-                rep, mk = check_commdelay(dag, ts, g)
-            else:
-                rep, mk = check_spd(dag, ts, g)
-            return ts if rep.valid and mk <= T else None
+            mk = span(ts)
+            return ts if mk is not None and mk <= T else None
 
         def spd_comms(idx: int, used: int, p: int, t: int, edges,
                       k: int) -> Optional[TimedSchedule]:
@@ -653,11 +706,11 @@ def brute_opt_timed(
 
         return place(0, 0)
 
-    for T in range(lb, total + 1):
+    for T in range(lb, U):
         found = feasible(T)
         if found is not None:
             return found, T
-    raise BudgetExceeded("no schedule found within the serial makespan")  # unreachable
+    return incumbent, U
 
 
 RATIO_HEADER = "construction,params,model,opt,ratio"

@@ -182,6 +182,18 @@ def test_gen_stdout_deterministic(capsys):
     assert out1.splitlines()[0].split() == ["12", "15"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("layered", "--length", "100000", "--width", "100"),
+    ("two_minus_eps", "--k", "1000000", "-P", "2"),
+], ids=["layered", "two_minus_eps"])
+def test_gen_above_size_cap_is_domain_error(capsys, argv):
+    # the layered DAG has 10^7 nodes and 10^9 edges; it used to be built
+    # until memory ran out
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"limit of {MAX_NODES}" in err
+
+
 def test_chain_solve_lengths(capsys):
     code, out, _ = run(
         capsys, "chain-solve", "--chains", "4,1,1", "-P", "2", "-g", "1"
@@ -412,6 +424,17 @@ def test_ratios_bad_oversized_cell_is_domain_error(capsys, construction, cell):
     assert "must be" in err or "requires" in err
 
 
+@pytest.mark.parametrize("construction,cell", [
+    ("layered", "length=2;width=2;P=3;g=1;g=2"),
+    ("two_minus_eps", "g=1;k=1;P=2; P =3"),
+])
+def test_ratios_cell_repeated_key_is_domain_error(capsys, construction, cell):
+    # the last value used to win silently
+    code, out, err = run(capsys, "ratios", construction, "--cell", cell)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cell key") and "given twice" in err
+
+
 def test_ratios_cell_missing_key_is_domain_error(capsys):
     code, out, err = run(capsys, "ratios", "layered", "--cell", "length=4")
     assert code == 1 and out == ""
@@ -595,6 +618,36 @@ def test_input_text_fails_cleanly(data):
             if kind == "validate" and data.draw(st.booleans()):
                 argv.append("--duplication")
         _exits_cleanly(argv)
+
+
+# each key the construction reads, now and then left out, plus stray
+# entries: unknown, repeated or empty keys, bad values and free text
+_CELL_KEYS = {"layered": ("length", "width", "P", "g"), "two_minus_eps": ("g", "k", "P")}
+_CELL_ENTRY = st.one_of(
+    st.builds("{}{}{}".format,
+              st.sampled_from(["length", "width", "P", "g", "k", "x", " P ", ""]),
+              st.sampled_from(["=", "=", "=", "", "=="]),
+              st.one_of(_NUM, st.sampled_from(["", "a", "1.5", " 2 "]))),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _cell_text(draw, construction):
+    entries = [f"{key}={draw(_NUM)}" for key in _CELL_KEYS[construction]
+               if draw(st.integers(0, 5))]
+    if draw(st.booleans()):
+        entries += draw(st.lists(_CELL_ENTRY, min_size=1, max_size=2))
+    return ";".join(draw(st.permutations(entries)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cell_text_fails_cleanly(data):
+    construction = data.draw(st.sampled_from(sorted(_CELL_KEYS)))
+    cells = data.draw(st.lists(_cell_text(construction), min_size=1, max_size=2))
+    _exits_cleanly(["ratios", construction]
+                   + [arg for cell in cells for arg in ("--cell", cell)])
 
 
 def test_usage_errors_exit_two(capsys):

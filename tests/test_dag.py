@@ -179,6 +179,43 @@ def test_gen_layered_adjacent_is_linear_in_length():
     assert len(dag.edges) == 10**5 - 1
 
 
+GENERATORS = [
+    lambda: gen_layered(3, 2, "adjacent"),
+    lambda: gen_layered(4, 3, "transitive"),
+    lambda: gen_layered(5, 2, "delayed", 2),
+    lambda: gen_layered(3, 2, "delayed", 2),  # no layer pair is far enough
+    lambda: gen_taxonomy_fixture("fork", length=3),
+    lambda: gen_taxonomy_fixture("two_minus_eps", g=2, k=2, p=3),
+    lambda: gen_taxonomy_fixture("three_halves", g=2, k0=3),
+]
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_generators_refuse_counts_above_cap(monkeypatch, gen):
+    # the counts checked before building are the built DAG's own
+    dag = gen()
+    cap = max(dag.node_count, len(dag.edges))
+    monkeypatch.setattr("bspsched.dag.MAX_NODES", cap)
+    assert gen() == dag
+    monkeypatch.setattr("bspsched.dag.MAX_NODES", cap - 1)
+    with pytest.raises(DagError, match=f"exceed the limit of {cap - 1}"):
+        gen()
+
+
+@pytest.mark.parametrize("gen", [
+    lambda: gen_layered(10**5, 100, "adjacent"),  # 10^7 nodes, 10^9 edges
+    lambda: gen_layered(2, 1001, "adjacent"),  # 2002 nodes, 1002001 edges
+    lambda: gen_layered(10**4, 10, "transitive"),
+    lambda: gen_taxonomy_fixture("fork", length=10**20),
+    lambda: gen_taxonomy_fixture("two_minus_eps", g=1, k=10**6, p=2),
+    lambda: gen_taxonomy_fixture("three_halves", g=10**3, k0=2),
+], ids=["layered", "layered-edges", "transitive", "fork", "two_minus_eps",
+        "three_halves"])
+def test_oversized_generator_is_refused_before_building(gen):
+    with pytest.raises(DagError, match=f"exceed the limit of {MAX_NODES}"):
+        gen()
+
+
 def test_fork_fixture_shape():
     dag = gen_taxonomy_fixture("fork", length=3)
     assert dag.node_count == 7

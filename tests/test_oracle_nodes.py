@@ -61,10 +61,10 @@ PINS = {
     "bsp-duplication-ds": (_bsp(FORK, 2, 1, 0, "ds", duplication=True), 5, 53),
     "bsp-duplication-weighted-fs": (
         _bsp(WEIGHTED_SMALL, 2, 1, 1, "fs", duplication=True), 10, 363),
-    "timed-classical": (_timed(HALVES, 3, 1, "classical"), 4, 131),
+    "timed-classical": (_timed(GRID, 2, 1, "classical"), 6, 1903),
     "timed-classical-barrier": (_timed(CLASSWW, 3, 1, "classical_barrier"), 6, 23),
     "timed-commdelay": (_timed(HALVES, 3, 1, "commdelay"), 5, 559),
-    "timed-spd": (_timed(SMALL, 2, 2, "spd"), 5, 12),
+    "timed-spd": (_timed(SMALL, 2, 2, "spd"), 5, 6),
     "timed-spd-transfers": (_timed(WEIGHTED_DIAMOND, 2, 1, "spd"), 6, 8),
     "timed-classical-barrier-duplication": (
         _timed(RECOMP, 3, 1, "classical_barrier", duplication=True), 5, 21),
@@ -79,3 +79,9 @@ def test_search_node_count_is_pinned(name):
     with pytest.raises(BudgetExceeded, match="node budget"):
         search(OracleBudget(max_nodes=12, node_budget=nodes - 1))
 
+
+def test_timed_search_skipped_when_list_schedule_meets_lower_bound():
+    # the earliest-task-first schedule reaches the lower bound 4, so no
+    # makespan is searched and no search node is spent
+    _, opt = _timed(HALVES, 3, 1, "classical")(OracleBudget(max_nodes=12, node_budget=0))
+    assert opt == 4
