@@ -85,14 +85,10 @@ def _cmd_cost(args) -> int:
     params = MachineParams(g=args.g, L=args.L)
     breakdown = cost(dag, sched, _model(args.model), params)
     lat_steps = sum(1 for c in breakdown.comm if c > 0)
-    if args.csv:
-        print("superstep,work,comm")
-        for s in range(sched.superstep_count):
-            print(f"{s + 1},{breakdown.work[s]},{breakdown.comm[s]}")
-    else:
-        print("superstep work comm")
-        for s in range(sched.superstep_count):
-            print(f"{s + 1} {breakdown.work[s]} {breakdown.comm[s]}")
+    sep = "," if args.csv else " "
+    print(sep.join(("superstep", "work", "comm")))
+    for s in range(sched.superstep_count):
+        print(f"{s + 1}{sep}{breakdown.work[s]}{sep}{breakdown.comm[s]}")
     print(
         f"total {breakdown.work_total}+{_coeff(breakdown.comm_total, 'g')}"
         f"+{_coeff(lat_steps, 'L')} = {breakdown.cost}"
@@ -110,11 +106,9 @@ def _cmd_classify(args) -> int:
     ]
     if args.csv:
         print("property,value")
-        for k, v in rows:
-            print(f"{k},{v}")
-    else:
-        for k, v in rows:
-            print(f"{k} {v}")
+    sep = "," if args.csv else " "
+    for k, v in rows:
+        print(f"{k}{sep}{v}")
     return 0
 
 

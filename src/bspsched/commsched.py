@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .dag import Dag
-from .schedule import CommModel, MachineParams, comm_loads, frozen_assign, \
-    overlapped_cost, work_loads
+from .schedule import CommModel, MachineParams, ValidityReport, comm_loads, \
+    frozen_assign, overlapped_cost, placed, work_loads
 
 
 class CsError(Exception):
@@ -25,7 +25,10 @@ class CsInstance:
     assign maps node -> ((p, s), ...), kept as a read-only copy; multiple
     copies appear only when the caller works with duplication. maxbsp shifts
     the legal send windows by one (values sendable only strictly after being
-    computed, consumed strictly after arriving).
+    computed, consumed strictly after arriving). needs holds, sorted, one
+    (value, target, first_need, consumer) per value and processor that some
+    consumer copy cannot serve locally: first_need is the earliest such
+    copy's superstep and consumer its node.
     """
 
     dag: Dag
@@ -33,20 +36,27 @@ class CsInstance:
     S: int
     assign: Mapping[int, Tuple[Tuple[int, int], ...]]
     maxbsp: bool = False
+    needs: Tuple[Tuple[int, int, int, int], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         assign = frozen_assign(self.assign, self.P, self.S)
-        for v in range(1, self.dag.node_count + 1):
-            if v not in assign:
-                raise CsError(f"node {v} unassigned")
+        report = ValidityReport()
+        if not placed(self.dag, assign, True, report):
+            raise CsError(report.violations[-1][2])
         object.__setattr__(self, "assign", assign)
-        gap = 2 if self.maxbsp else 1
+        need: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for (u, v) in self.dag.edges:
             for (pv, sv) in assign[v]:
                 if any(pu == pv and su <= sv for (pu, su) in assign[u]):
                     continue
-                if not any(su + gap <= sv for (pu, su) in assign[u]):
-                    raise CsError(f"edge ({u}, {v}) admits no communication slot")
+                if (u, pv) not in need or sv < need[u, pv][0]:
+                    need[u, pv] = (sv, v)
+        gap = 2 if self.maxbsp else 1
+        for (u, _), (s, v) in need.items():
+            if not any(su + gap <= s for (_, su) in assign[u]):
+                raise CsError(f"edge ({u}, {v}) admits no communication slot")
+        object.__setattr__(self, "needs", tuple(
+            (u, p, s, v) for (u, p), (s, v) in sorted(need.items())))
 
 
 @dataclass
@@ -58,18 +68,10 @@ class Requirement:
 
 
 def cross_requirements(inst: CsInstance) -> List[Requirement]:
-    """One requirement per (value, target processor) pair that some consumer
-    copy cannot satisfy locally; first_need is the earliest such superstep."""
-    need: Dict[Tuple[int, int], int] = {}
-    for (u, v) in inst.dag.edges:
-        for (pv, sv) in inst.assign[v]:
-            if any(pu == pv and su <= sv for (pu, su) in inst.assign[u]):
-                continue
-            key = (u, pv)
-            need[key] = min(need.get(key, sv), sv)
-    return [
-        Requirement(u, p, s) for (u, p), s in sorted(need.items())
-    ]
+    """One fresh requirement per (value, target processor) pair that some
+    consumer copy cannot satisfy locally; first_need is the earliest such
+    superstep."""
+    return [Requirement(u, p, s) for (u, p, s, _) in inst.needs]
 
 
 def _direct_window(inst: CsInstance, src_sup: int, first_need: int) -> range:

@@ -546,7 +546,7 @@ def brute_opt_timed(
     candidate makespans then rise from the lower bound to just below the
     incumbent's, so the first feasible target, or else the incumbent, is
     optimal."""
-    from .variants import check_classical, check_commdelay, check_spd
+    from .variants import check_classical, check_spd
 
     budget = budget or OracleBudget.from_env()
     n = dag.node_count
@@ -584,12 +584,10 @@ def brute_opt_timed(
 
     def span(ts: TimedSchedule) -> Optional[int]:
         """The makespan of ts if the model's checker accepts it, else None."""
-        if model in ("classical", "classical_barrier"):
-            rep, mk = check_classical(dag, ts, barrier, duplication)
-        elif model == "commdelay":
-            rep, mk = check_commdelay(dag, ts, g)
-        else:
+        if model == "spd":
             rep, mk = check_spd(dag, ts, g)
+        else:
+            rep, mk = check_classical(dag, ts, barrier, duplication, delay)
         return mk if rep.valid else None
 
     incumbent, U = _timed_incumbent(
@@ -612,24 +610,16 @@ def brute_opt_timed(
                     blocked[b] += sign
 
         def prec_ok(v, p, t) -> bool:
+            """Under barriers (delay 0): every predecessor has a copy done by
+            t on p, or elsewhere with a free boundary since; boundaries only
+            ever get more blocked, and the leaf re-checks."""
             for u in pred[v]:
-                sat = False
                 for (pu, tu) in placed[u]:
                     done = tu + w[u]
-                    if pu == p:
-                        if done <= t:
-                            sat = True
-                            break
-                        continue
-                    if done + delay <= t:
-                        if not barrier:
-                            sat = True
-                            break
-                        # boundaries only ever get more blocked; leaf re-checks
-                        if any(not blocked[b] for b in range(done - 1, t)):
-                            sat = True
-                            break
-                if not sat:
+                    if done <= t and (pu == p or any(
+                            not blocked[b] for b in range(done - 1, t))):
+                        break
+                else:
                     return False
             return True
 
@@ -736,8 +726,9 @@ def ratio_report(
     threads: int = 1,
 ) -> List[Tuple[str, str, str, str, str]]:
     """Exact optima across model pairs for each parameter cell, as CSV rows
-    (construction, params, model, opt, ratio-vs-first-model). Cells exceeding
-    the budget are marked skipped instead of aborting the whole report."""
+    (construction, params, model, opt, ratio-vs-first-model). A cell must
+    hold exactly the construction's keys. Cells exceeding the budget are
+    marked skipped instead of aborting the whole report."""
     from concurrent.futures import ThreadPoolExecutor
 
     from .dag import gen_layered, gen_taxonomy_fixture
@@ -745,10 +736,14 @@ def ratio_report(
     budget = budget or OracleBudget.from_env()
     if construction not in _RATIO_CELL_KEYS:
         raise ValueError(f"unknown construction {construction!r}")
+    keys = _RATIO_CELL_KEYS[construction]
     for cell in grid:
-        missing = [k for k in _RATIO_CELL_KEYS[construction] if k not in cell]
+        missing = [k for k in keys if k not in cell]
         if missing:
             raise ValueError(f"{construction} cell lacks {', '.join(missing)}")
+        unknown = [k for k in cell if k not in keys]
+        if unknown:
+            raise ValueError(f"{construction} cells take no {', '.join(unknown)}")
 
     def cell_rows(cell: Dict[str, int]):
         params_str = ";".join(f"{k}={cell[k]}" for k in sorted(cell))

@@ -128,6 +128,30 @@ class ValidityReport:
 _NEVER = float("inf")
 
 
+def placed(
+    dag: Dag, assign: Mapping[int, Sequence], duplication: bool, report: ValidityReport
+) -> bool:
+    """The placement rule every model shares: each DAG node has a copy, one
+    unless duplication is allowed, and only DAG nodes have any. Reports each
+    entry outside the DAG, each node with several copies without
+    duplication and the first unplaced node. Returns False after an entry
+    outside the DAG or an unplaced node, since then neither the edges nor
+    the cost can be read."""
+    n = dag.node_count
+    inside = True
+    for v in assign:
+        if not 1 <= v <= n:
+            report.add("assign", v, f"node {v} is placed but lies outside the DAG")
+            inside = False
+    for v in range(1, n + 1):
+        if v not in assign:
+            report.add("assign", v, f"node {v} not assigned")
+            return False
+        if not duplication and len(assign[v]) != 1:
+            report.add("assign", v, f"node {v} has {len(assign[v])} copies without duplication")
+    return inside
+
+
 def delivery_index(
     sched: BspSchedule, free: bool, lag: int = 0
 ) -> Tuple[Dict[Tuple[int, int], int], List[Tuple[int, int, int, int]]]:
@@ -166,8 +190,9 @@ def check_validity(
     model: CommModel,
     duplication: bool = False,
 ) -> ValidityReport:
-    """Check every node is assigned, every tuple is sent by a holder of its
-    value and every edge's value is present where and when its consumer runs.
+    """Check the placement rule (see placed), that every tuple is sent by a
+    holder of its value and that every edge's value is present where and
+    when its consumer runs.
 
     Direct transfer: a tuple (v, p1, p2, s) is good when some copy of v is
     computed on p1 in superstep s or earlier. Free transfer: also when p1
@@ -179,14 +204,10 @@ def check_validity(
     m*c) for c copies per node.
     """
     report = ValidityReport()
+    if not placed(dag, sched.assign, duplication, report):
+        return report
     for v in range(1, dag.node_count + 1):
-        if v not in sched.assign:
-            report.add("assign", v, f"node {v} not assigned")
-            return report
-        copies = sched.assign[v]
-        if not duplication and len(copies) != 1:
-            report.add("assign", v, f"node {v} has {len(copies)} copies without duplication")
-        procs = [p for (p, _) in copies]
+        procs = [p for (p, _) in sched.assign[v]]
         if len(set(procs)) != len(procs):
             report.warnings.append(
                 f"node {v} duplicated on one processor across supersteps"

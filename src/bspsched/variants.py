@@ -3,7 +3,8 @@ communication delays, single-port duplex timing, and overlapped supersteps.
 
 Timed conventions: a node with start time t >= 1 and work weight w occupies the
 unit slots [t, t+w-1]; makespan = max over nodes of t+w-1. The edge rule
-t(u) + w(u) <= t(v) covers both unit and weighted inputs.
+t(u) + w(u) <= t(v) covers both unit and weighted inputs. Every checker first
+applies the placement rule shared with the BSP models (schedule.placed).
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .schedule import (
     delivery_index,
     frozen_assign,
     overlapped_cost,
+    placed,
     read_schedule_lines,
     work_loads,
     write_schedule_lines,
@@ -44,12 +46,6 @@ class TimedSchedule:
             if p1 == p2 or not (1 <= p1 <= P and 1 <= p2 <= P) or t0 < 1:
                 raise ScheduleError(f"bad timed comm {(v, p1, p2, t0)}")
 
-    def single(self, v: int) -> Tuple[int, int]:
-        copies = self.assign[v]
-        if len(copies) != 1:
-            raise ScheduleError(f"node {v} has {len(copies)} copies")
-        return copies[0]
-
 
 def makespan(dag: Dag, ts: TimedSchedule) -> int:
     return max(
@@ -57,28 +53,20 @@ def makespan(dag: Dag, ts: TimedSchedule) -> int:
     )
 
 
-def _collisions(dag: Dag, ts: TimedSchedule, report: ValidityReport) -> None:
+def _occupy(dag: Dag, ts: TimedSchedule, report: ValidityReport) -> set:
+    """Report copies that overlap on a processor; return the boundaries b
+    (after slot b) that some copy's execution straddles."""
     busy: Dict[Tuple[int, int], int] = {}
-    for v, copies in ts.assign.items():
-        for (p, t) in copies:
-            for slot in range(t, t + dag.w_work(v)):
-                key = (p, slot)
-                if key in busy:
-                    report.add(
-                        "collision", v, f"nodes {busy[key]} and {v} overlap on p{p}"
-                    )
-                else:
-                    busy[key] = v
-
-
-def _blocked_boundaries(dag: Dag, ts: TimedSchedule) -> set:
-    """Boundaries b (after slot b) straddled by some node's execution."""
     blocked = set()
     for v, copies in ts.assign.items():
         w = dag.w_work(v)
-        for (_, t) in copies:
-            for b in range(t, t + w - 1):
-                blocked.add(b)
+        for (p, t) in copies:
+            blocked.update(range(t, t + w - 1))
+            for slot in range(t, t + w):
+                if (p, slot) in busy:
+                    report.add("collision", v, f"nodes {busy[p, slot]} and {v} overlap on p{p}")
+                else:
+                    busy[p, slot] = v
     return blocked
 
 
@@ -87,65 +75,48 @@ def check_classical(
     ts: TimedSchedule,
     barrier_sync: bool = False,
     duplication: bool = False,
+    delay: int = 0,
 ) -> Tuple[ValidityReport, int]:
+    """Classical scheduling: a copy of v at (p, t) needs, for each edge
+    (u, v), a copy of u that finishes by t on p, or by t - delay on another
+    processor. Under barrier_sync a handoff between processors also needs a
+    synchronization boundary between u's finish and t that no copy
+    straddles. delay = g is the communication delay model."""
     report = ValidityReport()
-    for v in range(1, dag.node_count + 1):
-        if v not in ts.assign:
-            report.add("assign", v, f"node {v} not assigned")
-            return report, 0
-        if not duplication and len(ts.assign[v]) != 1:
-            report.add("assign", v, f"node {v} duplicated without duplication mode")
-    _collisions(dag, ts, report)
-    blocked = _blocked_boundaries(dag, ts) if barrier_sync else set()
+    if not placed(dag, ts.assign, duplication, report):
+        return report, 0
+    blocked = _occupy(dag, ts, report)
     for (u, v) in dag.edges:
         for (pv, tv) in ts.assign[v]:
-            ok = False
             for (pu, tu) in ts.assign[u]:
                 done = tu + dag.w_work(u)  # first slot after u
-                if done > tv:
-                    continue
                 if pu == pv:
-                    ok = True
+                    if done <= tv:
+                        break
+                elif done + delay <= tv and (
+                    not barrier_sync or not blocked.issuperset(range(done - 1, tv))
+                ):
                     break
-                if not barrier_sync:
-                    ok = True
-                    break
-                # cross edge needs a free synchronization boundary in between
-                if any(b not in blocked for b in range(done - 1, tv)):
-                    ok = True
-                    break
-            if not ok:
+            else:
                 report.add("edge", (u, v), f"dependency {u} -> {v} not satisfied")
     return report, makespan(dag, ts)
 
 
 def check_commdelay(dag: Dag, ts: TimedSchedule, g: int) -> Tuple[ValidityReport, int]:
-    report = ValidityReport()
-    for v in range(1, dag.node_count + 1):
-        if v not in ts.assign:
-            report.add("assign", v, f"node {v} not assigned")
-            return report, 0
-    _collisions(dag, ts, report)
-    for (u, v) in dag.edges:
-        pu, tu = ts.single(u)
-        pv, tv = ts.single(v)
-        need = tu + dag.w_work(u) + (g if pu != pv else 0)
-        if tv < need:
-            report.add("edge", (u, v), f"node {v} starts before {need}")
-    return report, makespan(dag, ts)
+    """Communication delay: classical scheduling in which a value reaches
+    another processor g slots after it is computed."""
+    return check_classical(dag, ts, delay=g)
 
 
 def check_spd(dag: Dag, ts: TimedSchedule, g: int) -> Tuple[ValidityReport, int]:
     report = ValidityReport()
-    for v in range(1, dag.node_count + 1):
-        if v not in ts.assign:
-            report.add("assign", v, f"node {v} not assigned")
-            return report, 0
-    _collisions(dag, ts, report)
+    if not placed(dag, ts.assign, False, report):
+        return report, 0
+    _occupy(dag, ts, report)
+    at = {v: copies[0] for v, copies in ts.assign.items()}  # a node's first copy
     for t in ts.timed_comms:
         v, p1, p2, t0 = t
-        pv, tv = ts.single(v)
-        if pv != p1 or tv + dag.w_work(v) - 1 > t0:
+        if v not in at or at[v][0] != p1 or at[v][1] + dag.w_work(v) - 1 > t0:
             report.add("send", t, f"value {v} not ready on p{p1} at time {t0}")
     # single-port rule: per-processor send intervals disjoint, likewise receive
     for role, idx in (("send", 1), ("receive", 2)):
@@ -160,8 +131,7 @@ def check_spd(dag: Dag, ts: TimedSchedule, g: int) -> Tuple[ValidityReport, int]
                         "port", p, f"overlapping {role} intervals on p{p} at {a}, {b}"
                     )
     for (u, v) in dag.edges:
-        pu, tu = ts.single(u)
-        pv, tv = ts.single(v)
+        (pu, tu), (pv, tv) = at[u], at[v]
         if pu == pv:
             if tu + dag.w_work(u) > tv:
                 report.add("edge", (u, v), "order violated on one processor")
@@ -191,10 +161,8 @@ def check_maxbsp(
     O(n*c + |comms| log |comms| + m*c) for c copies per node."""
     report = ValidityReport()
     P, S = sched.processor_count, sched.superstep_count
-    for v in range(1, dag.node_count + 1):
-        if v not in sched.assign:
-            report.add("assign", v, f"node {v} not assigned")
-            return report, 0
+    if not placed(dag, sched.assign, True, report):
+        return report, 0
     ready, bad = delivery_index(sched, free=False, lag=1)
     for t in bad:
         v, p1, p2, s = t

@@ -441,6 +441,17 @@ def test_ratios_cell_missing_key_is_domain_error(capsys):
     assert "error:" in err and "width" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("construction,cell,key", [
+    ("layered", "length=2;width=2;P=2;g=1;widht=5", "widht"),
+    ("two_minus_eps", "g=1;k=1;P=2;length=3", "length"),
+])
+def test_ratios_cell_unknown_key_is_domain_error(capsys, construction, cell, key):
+    # a misspelt extra key used to pass silently into the params column
+    code, out, err = run(capsys, "ratios", construction, "--cell", cell)
+    assert code == 1 and out == ""
+    assert err == f"error: {construction} cells take no {key}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("chain-solve", "--chains", "3,2", "-P", "2", "-g", "-1", "-L", "-1"),
     ("ilp-emit", "--dag", "{dag}", "-P", "2", "--supersteps", "2",

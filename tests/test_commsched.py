@@ -70,6 +70,54 @@ def test_requirements_basic():
     assert reqs[0].value == 1 and reqs[0].target == 2 and reqs[0].first_need == 2
 
 
+def test_requirements_are_fresh_each_call():
+    dag = Dag(3, ((1, 2), (1, 3)))
+    inst = instance(dag, 2, 3, {1: (1, 1), 2: (2, 2), 3: (2, 3)})
+    assert inst.needs == ((1, 2, 2, 2),)  # (value, target, first_need, consumer)
+    cross_requirements(inst)[0].options.append(frozenset())
+    assert cross_requirements(inst)[0].options == []
+
+
+def ref_needs(dag, assign, maxbsp):
+    """The per-consumer-copy scan: the earliest non-local need of each
+    (value, processor), or None when some copy admits no send slot."""
+    gap = 2 if maxbsp else 1
+    need = {}
+    for (u, v) in dag.edges:
+        for (pv, sv) in assign[v]:
+            if any(pu == pv and su <= sv for (pu, su) in assign[u]):
+                continue
+            if not any(su + gap <= sv for (_, su) in assign[u]):
+                return None
+            need[u, pv] = min(need.get((u, pv), sv), sv)
+    return sorted((u, p, s) for (u, p), s in need.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 3), st.integers(1, 2), st.booleans(),
+       st.integers(0, 10**6))
+def test_needs_match_per_copy_scan(n, P, max_copies, maxbsp, seed):
+    rng = random.Random(seed)
+    dag = random_dag(n, 0.5, rng)
+    S, pred, assign = 4 * n, dag.pred(), {}
+    for v in dag.topo_order():  # copies near their inputs' supersteps
+        s = max((assign[u][0][1] for u in pred[v]), default=1)
+        assign[v] = tuple(sorted({(rng.randint(1, P), max(1, s + rng.randint(-1, 3)))
+                                  for _ in range(rng.randint(1, max_copies))}))
+    want = ref_needs(dag, assign, maxbsp)
+    try:
+        inst = CsInstance(dag, P, S, assign, maxbsp)
+    except CsError:
+        assert want is None
+        return
+    assert [(u, p, s) for (u, p, s, _) in inst.needs] == want
+
+
+def test_node_outside_dag_rejected():
+    with pytest.raises(CsError, match="outside the DAG"):
+        instance(Dag(1, ()), 2, 1, {1: (1, 1), 99: (2, 1)})
+
+
 def test_infeasible_assignment_rejected():
     dag = Dag(2, ((1, 2),))
     with pytest.raises(CsError):

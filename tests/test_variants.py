@@ -239,3 +239,54 @@ def test_timed_reader_rejects_start_time_without_processor():
 def test_makespan_uses_weighted_intervals():
     dag = Dag(1, (), work_weight={1: 4})
     assert makespan(dag, timed(1, {1: (1, 2)})) == 5
+
+
+# Malformed timed and BSP schedules: an entry for a node outside the DAG, a
+# duplicated node where the model has no duplication, a transfer of an
+# unknown value. Each is a violation, never a pass or an exception.
+
+PHANTOM_DAG = Dag(2, ((1, 2),))
+
+
+@pytest.mark.parametrize("checker", [
+    lambda ts: check_classical(PHANTOM_DAG, ts),
+    lambda ts: check_classical(PHANTOM_DAG, ts, barrier_sync=True, duplication=True),
+    lambda ts: check_commdelay(PHANTOM_DAG, ts, 1),
+    lambda ts: check_spd(PHANTOM_DAG, ts, 1),
+], ids=["classical", "barrier-dup", "commdelay", "spd"])
+def test_timed_checkers_refuse_node_outside_dag(checker):
+    ts = TimedSchedule(2, {1: ((1, 1),), 2: ((1, 2),), 99: ((2, 50),)})
+    report, span = checker(ts)
+    assert not report.valid
+    assert ("assign", 99) in [(rule, subject) for (rule, subject, _) in report.violations]
+    assert span == 0  # the phantom's slot 50 is not priced
+
+
+@pytest.mark.parametrize("checker", [
+    lambda sched: (check_validity(PHANTOM_DAG, sched, DS), None),
+    lambda sched: check_maxbsp(PHANTOM_DAG, sched, MachineParams(1, 0)),
+], ids=["bsp", "maxbsp"])
+def test_bsp_checkers_refuse_node_outside_dag(checker):
+    sched = BspSchedule(2, 3, {1: ((1, 1),), 2: ((1, 2),), 99: ((2, 3),)})
+    report, total = checker(sched)
+    assert not report.valid
+    assert report.violations[0][:2] == ("assign", 99)
+    assert total in (None, 0)  # maxbsp no longer prices the phantom's work
+
+
+@pytest.mark.parametrize("checker", [
+    lambda ts: check_commdelay(PHANTOM_DAG, ts, 1),
+    lambda ts: check_spd(PHANTOM_DAG, ts, 1),
+], ids=["commdelay", "spd"])
+def test_duplicated_node_is_a_violation_without_duplication(checker):
+    ts = TimedSchedule(2, {1: ((1, 1), (2, 1)), 2: ((1, 2),)})
+    report, span = checker(ts)
+    assert not report.valid
+    assert report.violations[0] == ("assign", 1, "node 1 has 2 copies without duplication")
+    assert span == 2
+
+
+def test_spd_transfer_of_unknown_value_is_a_bad_send():
+    ts = timed(2, {1: (1, 1), 2: (2, 4)}, [(1, 1, 2, 1), (99, 1, 2, 3)])
+    report, _ = check_spd(PHANTOM_DAG, ts, 1)
+    assert report.violations == [("send", (99, 1, 2, 3), "value 99 not ready on p1 at time 3")]
