@@ -8,8 +8,12 @@ the transfer set of each superstep boundary and the grouping of those
 transfers into the paths of split chains. Each path takes one chain and a
 split of it over the supersteps, generated directly with a nonempty segment
 on every processor the path visits; the remaining whole chains are leveled
-with a closed-form work bound. For fixed P the number of candidates is
-polynomial in the number of nodes, with a degree that grows with P.
+with a closed-form work bound. An S-superstep candidate costs at least
+max(ceil(n/P), longest path) + (g + L)(S - 1), and the search skips what
+cannot beat its incumbent by that floor. This is not a polynomial bound on
+the candidates: inputs whose longest chain is the optimum finish in under a
+millisecond at P = 3, while balanced ones grow (four chains of 40 nodes
+took about 0.1 s on a 2-core machine with Python 3.11).
 """
 
 from bisect import bisect_left
@@ -205,33 +209,6 @@ def _chain_splits(length: int, seg: Sequence[int], first: int):
     yield from rec(0, length, False)
 
 
-def _level_free(
-    base: List[List[int]],
-    free_by_proc: List[int],
-    avail: List[int],
-    P: int,
-    S: int,
-) -> Tuple[int, List[int]]:
-    """Minimal total work profile sum(T_s) with T_s >= max_p base and each
-    processor p fitting free_by_proc[p] extra units into supersteps >=
-    avail[p]; returns (total, T). Suffix constraints are nested, so deficits
-    are repaired at the last superstep."""
-    T = [max(base[s][p] for p in range(P)) for s in range(S)]
-    for a in range(S, 0, -1):
-        need = 0
-        for p in range(P):
-            if avail[p] != a:
-                continue
-            need = max(
-                need,
-                sum(base[s][p] for s in range(a - 1, S)) + free_by_proc[p],
-            )
-        cur = sum(T[a - 1:])
-        if cur < need:
-            T[S - 1] += need - cur
-    return sum(T), T
-
-
 def _chain_search(
     dec: ChainDecomposition,
     P: int,
@@ -254,15 +231,23 @@ def _chain_search(
     chains = dec.chains
     root = dec.root
     n = dec.node_count
-    work_floor = _ceil_div(n, P)
+    # Admissible floor on sum_s T_s of every candidate. Work: the P
+    # processors share n nodes, so sum_s T_s >= ceil(n/P). Critical path:
+    # within one superstep the nodes of one path sit on one processor, since
+    # a handoff to another processor crosses a barrier, so T_s is at least
+    # the path's share of superstep s and sum_s T_s at least its length. The
+    # longest path is the longest chain, behind the root if there is one.
+    # Each of the S - 1 boundaries carries at least one unit, so an
+    # S-superstep candidate costs at least work_floor + (g + L)(S - 1).
+    longest = max(map(len, chains), default=0) + (1 if root else 0)
+    work_floor = max(_ceil_div(n, P), longest)
     # chain transfers per boundary; () leaves the boundary to root deliveries
     options = [()] + _round_subsets(P)
 
-    # incumbent [cost, S, assignment, comms], seeded with the always valid
-    # one-processor schedule
-    serial = {root: ((1, 1),)} if root else {}
-    serial.update((v, ((1, 1),)) for c in chains for v in c)
-    best = [n, 1, serial, ()]
+    # incumbent [cost, S, T, rep, placements, plan, avail, base], seeded with
+    # the always valid one-processor schedule; built once at the end
+    best = [n, 1, [n], tuple((i, 0) for i in range(len(chains))), [], {},
+            [1] * (P + 1), [[1 if root else 0] + [0] * (P - 1)]]
     used: Set[int] = set()
     placements: List[Tuple] = []  # (chain, split, rounds, owner) per path
 
@@ -341,9 +326,12 @@ def _chain_search(
             for comp in _chain_splits(len(chain), seg, avail[owner[0]]):
                 for s, c in enumerate(comp):
                     base[s][owner[s] - 1] += c
-                placements.append((chain, comp, rounds, owner))
-                place(paths, k + 1)
-                placements.pop()
+                # a candidate costs at least comm plus its superstep maxima,
+                # which placing more only raises
+                if sum(map(max, base)) + comm < best[0]:
+                    placements.append((chain, comp, rounds, owner))
+                    place(paths, k + 1)
+                    placements.pop()
                 for s, c in enumerate(comp):
                     base[s][owner[s] - 1] -= c
             used.discard(ci)
@@ -365,15 +353,25 @@ def _chain_search(
                     grown[p] += len(chain)
                     nxt.setdefault(tuple(grown), rep + ((i, p),))
             vectors = nxt
+        # The least profile: T_s starts at the superstep maxima, and each
+        # processor needs the supersteps from its first one on to hold its
+        # whole chains in the room its placed nodes leave there. These suffix
+        # constraints are nested, so every deficit is repaired at the last
+        # superstep, which lies in all of them.
+        T = [max(row) for row in base]
+        room = [sum(T[a - 1:]) - sum(row[p] for row in base[a - 1:])
+                for p, a in enumerate(avail[1:])]
+        top = sum(T) + comm
         for vec, rep in vectors.items():
-            total, T = _level_free(base, list(vec), avail[1:], P, S)
-            if total + comm < best[0]:
-                best[:] = [total + comm, S, *build(T, rep)]
+            deficit = max(0, *(v - r for v, r in zip(vec, room)))
+            if top + deficit < best[0]:
+                best[:] = [top + deficit, S, T[:-1] + [T[-1] + deficit], rep,
+                           list(placements), plan, avail, [row[:] for row in base]]
 
-    def build(T: List[int], rep):
-        """Assignment and comms of the placements, with the whole chains of
-        `rep` filling the capacity left under the profile T, which
-        _level_free made large enough for them."""
+    def build(S, T, rep, placements, plan, avail, base) -> BspSchedule:
+        """The schedule of an incumbent: its placements, with the whole
+        chains of `rep` filling the capacity left under the profile T, which
+        level made large enough for them."""
         assign: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         comms: Set[Tuple[int, int, int, int]] = set()
         if root:
@@ -402,7 +400,7 @@ def _chain_search(
                 pos += take
                 if pos == len(chain):
                     break
-        return assign, comms
+        return BspSchedule(P, S, assign, comms)
 
     for S in range(1, min(n, (2 * P - 1) if root else P) + 1):
         if work_floor + (g + L) * (S - 1) >= best[0]:
@@ -423,7 +421,7 @@ def _chain_search(
                 for paths in _path_partitions(transfers):
                     if len(paths) <= len(chains):
                         place([segments(path) for path in paths], 0)
-    return BspSchedule(P, best[1], best[2], best[3]), best[0]
+    return build(*best[1:]), best[0]
 
 
 def solve_chain(

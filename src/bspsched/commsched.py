@@ -6,7 +6,9 @@ latency is excluded by default since every feasible communication set for a
 fixed assignment can be charged the same way by the caller.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .dag import Dag
@@ -116,34 +118,40 @@ def cs_greedy_p2(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
     Per superstep, send every value needed next superstep; the direction with
     fewer such values tops up with pending values in earliest-need order
     (ties: lower node index) up to the forced phase cost.
+
+    The requirements are sorted once by the superstep that computes their
+    value; each direction keeps a heap of the released ones keyed
+    (first_need, value) and a count of those still due per first_need, so
+    the phase cost is a lookup, each send one pop, and the whole greedy
+    O(R log R + S) for R cross requirements.
     """
     if inst.P != 2:
         raise CsError("greedy applies to P = 2 only")
     if inst.maxbsp:
         raise CsError("greedy covers the standard superstep model only")
-    reqs = cross_requirements(inst)
-    # pending[(a, b)] = requirements a -> b not yet sent
-    remaining: Dict[Tuple[int, int], List[Requirement]] = {(1, 2): [], (2, 1): []}
-    for req in reqs:
-        src = inst.assign[req.value][0][0]
-        remaining[(src, req.target)].append(req)
+    if any(len(copies) > 1 for copies in inst.assign.values()):
+        raise CsError("greedy covers single-copy assignments only")
+    # (release superstep, first_need, value, direction) per requirement
+    reqs = sorted(
+        (inst.assign[u][0][1], s, u, (inst.assign[u][0][0], p))
+        for (u, p, s, _) in inst.needs
+    )
+    heaps: Dict[Tuple[int, int], List[Tuple[int, int]]] = {(1, 2): [], (2, 1): []}
+    due = Counter((d, s) for (_, s, _, d) in reqs)
     gamma = set()
+    i = 0
     for s in range(1, inst.S):
-        avail = {
-            d: sorted(
-                (r for r in remaining[d] if inst.assign[r.value][0][1] <= s),
-                key=lambda r: (r.first_need, r.value),
-            )
-            for d in remaining
-        }
-        phase = max(
-            sum(1 for r in avail[d] if r.first_need == s + 1) for d in avail
-        )
-        for d, ordered in avail.items():
-            for r in ordered[:phase]:
-                gamma.add((r.value, d[0], d[1], s))
-                remaining[d].remove(r)
-    if any(remaining.values()):
+        while i < len(reqs) and reqs[i][0] <= s:
+            _, need, u, d = reqs[i]
+            heappush(heaps[d], (need, u))
+            i += 1
+        phase = max(due[d, s + 1] for d in heaps)
+        for d, heap in heaps.items():
+            for _ in range(min(phase, len(heap))):
+                need, u = heappop(heap)
+                due[d, need] -= 1
+                gamma.add((u, d[0], d[1], s))
+    if len(gamma) != len(reqs):
         raise CsError("instance infeasible for greedy")  # cannot happen
     return frozenset(gamma)
 

@@ -182,10 +182,15 @@ def convert_spd_to_bsp(dag: Dag, ts: TimedSchedule, g: int) -> BspSchedule:
 
     Nodes starting in a window compute there; transfers starting in a window
     are sent in its communication phase. Port-disjointness guarantees at most
-    one send and one receive per processor per window.
+    one send and one receive per processor per window. Raises ScheduleError
+    if the schedule breaks the placement rule.
     """
     if g < 1:
         raise ScheduleError("conversion needs g >= 1")
+    report = ValidityReport()
+    placed(dag, ts.assign, False, report)
+    if not report.valid:
+        raise ScheduleError(report.violations[0][2])
     horizon = makespan(dag, ts)
     for t in ts.timed_comms:
         horizon = max(horizon, t[3] + g)

@@ -202,6 +202,14 @@ def test_chain_solve_lengths(capsys):
     assert out.strip().endswith("# cost 4")
 
 
+def test_chain_solve_longest_chain_at_p3(capsys):
+    code, out, _ = run(
+        capsys, "chain-solve", "--chains", "20,8,4", "-P", "3", "-g", "2", "-L", "1"
+    )
+    assert code == 0
+    assert out.strip().endswith("# cost 20")
+
+
 def test_chain_solve_greedy(capsys):
     code, out, _ = run(
         capsys, "chain-solve", "--chains", "4,1,1", "-P", "2", "-g", "1",
@@ -224,6 +232,15 @@ def test_cs_greedy_picks_middle_superstep(files, capsys):
     )
     assert code == 0
     assert "t 11 2 1 2" in out.splitlines()
+
+
+def test_cs_greedy_refuses_duplicated_node(files, capsys):
+    # node 1's first copy lies on the processor that needs it from the other
+    dag = files("d.dag", "2 1\n1 2\n")
+    partial = files("pt.sched", "p 1 1 1\ns 1 3 1\np 1 2 2\ns 1 1 2\np 2 1\ns 2 2\n")
+    code, out, err = run(capsys, "cs", "greedy2", "--dag", dag, "--partial", partial)
+    assert code == 1 and out == ""
+    assert "single-copy" in err and "Traceback" not in err
 
 
 def test_ilp_emit_and_read(files, capsys, tmp_path):

@@ -198,6 +198,16 @@ def test_convert_spd_windows():
     assert check_validity(dag, sched, DS).valid
 
 
+@pytest.mark.parametrize("assign, message", [
+    ({1: ((1, 1), (2, 1)), 2: ((2, 4),)}, "node 1 has 2 copies without duplication"),
+    ({1: ((1, 1),), 2: ((2, 4),), 99: ((1, 5),)}, "node 99 is placed but lies outside the DAG"),
+])
+def test_convert_spd_applies_placement_rule(assign, message):
+    ts = TimedSchedule(processor_count=2, assign=assign, timed_comms=frozenset({(1, 1, 2, 1)}))
+    with pytest.raises(ScheduleError, match=message):
+        convert_spd_to_bsp(Dag(2, ((1, 2),)), ts, 2)
+
+
 def test_convert_spd_cost_at_most_double():
     ell, g = 3, 1
     dag = gen_taxonomy_fixture("fork", length=ell)
