@@ -81,25 +81,25 @@ def _direct_window(inst: CsInstance, src_sup: int, first_need: int) -> range:
     return range(lo, first_need)
 
 
-def _send_at(inst: CsInstance, end: int) -> FrozenSet[Tuple[int, int, int, int]]:
+def _send_at(inst: CsInstance, lazy: bool) -> FrozenSet[Tuple[int, int, int, int]]:
+    # each value leaves its earliest copy off the target, whose direct
+    # window CsInstance has checked to be nonempty
+    off = 1 if inst.maxbsp else 0
     gamma = set()
-    for req in cross_requirements(inst):
-        (p1, s1) = inst.assign[req.value][0]
-        window = _direct_window(inst, s1, req.first_need)
-        if len(window) == 0:
-            raise CsError(f"value {req.value} has no legal send superstep")
-        gamma.add((req.value, p1, req.target, window[end]))
+    for (u, p, s, _) in inst.needs:
+        (s1, p1) = min((su, pu) for (pu, su) in inst.assign[u] if pu != p)
+        gamma.add((u, p1, p, s - 1 if lazy else s1 + off))
     return frozenset(gamma)
 
 
 def cs_eager(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
     """Send every needed cross value in the superstep it is computed."""
-    return _send_at(inst, 0)
+    return _send_at(inst, False)
 
 
 def cs_lazy(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
     """Send every needed cross value in the superstep before first use."""
-    return _send_at(inst, -1)
+    return _send_at(inst, True)
 
 
 def comm_cost(
@@ -113,7 +113,8 @@ def comm_cost(
 
 
 def cs_greedy_p2(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
-    """Optimal communication set for two processors.
+    """Optimal communication set for two processors, for unit
+    communication weights (it counts values, not units).
 
     Per superstep, send every value needed next superstep; the direction with
     fewer such values tops up with pending values in earliest-need order
@@ -131,6 +132,8 @@ def cs_greedy_p2(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
         raise CsError("greedy covers the standard superstep model only")
     if any(len(copies) > 1 for copies in inst.assign.values()):
         raise CsError("greedy covers single-copy assignments only")
+    if inst.dag.comm_weight:
+        raise CsError("greedy covers unit communication weights only")
     # (release superstep, first_need, value, direction) per requirement
     reqs = sorted(
         (inst.assign[u][0][1], s, u, (inst.assign[u][0][0], p))

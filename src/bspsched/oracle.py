@@ -130,46 +130,15 @@ def _check_size(n: int, P: int, budget: OracleBudget) -> None:
 
 
 def _seed_schedules(dag: Dag, P: int) -> List[BspSchedule]:
-    """Cheap candidates used to prime the incumbent: the one-processor
-    schedule plus pipelined splits of a greedy path cover; _complete_and_cost
-    drops those that admit no communication."""
-    n = dag.node_count
-    seeds = [
-        BspSchedule(P, 1, {v: ((1, 1),) for v in range(1, n + 1)})
-    ]
+    """The serial schedule and the pipeline of a greedy path cover: path j
+    on processor j % P + 1, its i-th node in superstep i. _complete_and_cost
+    drops the pipeline when it admits no communication."""
     paths = _greedy_path_cover(dag)
-    max_len = max(len(p) for p in paths)
-
-    def compositions():
-        # (first, middle*m, last) block patterns, plus even splits
-        for a in range(1, max_len + 1):
-            for b in range(1, max_len + 1):
-                for c in range(0, max_len + 1):
-                    rest = max_len - a - c
-                    if rest < 0 or (rest > 0 and rest % b != 0):
-                        continue
-                    parts = [a] + [b] * (rest // b) + ([c] if c else [])
-                    yield parts
-
-    seen = set()
-    for parts in compositions():
-        cuts = []
-        acc = 0
-        for x in parts:
-            acc += x
-            cuts.append(acc)
-        key = tuple(cuts)
-        if key in seen:
-            continue
-        seen.add(key)
-        assign = {}
-        for j, path in enumerate(paths):
-            p = j % P + 1
-            for idx, v in enumerate(path):
-                s = next(i for i, cut in enumerate(cuts, start=1) if idx < cut)
-                assign[v] = ((p, s),)
-        seeds.append(BspSchedule(P, len(parts), assign))
-    return seeds
+    serial = {v: ((1, 1),) for v in range(1, dag.node_count + 1)}
+    pipeline = {v: ((j % P + 1, i),) for j, path in enumerate(paths)
+                for i, v in enumerate(path, start=1)}
+    return [BspSchedule(P, 1, serial),
+            BspSchedule(P, max(map(len, paths)), pipeline)]
 
 
 def _complete_and_cost(
@@ -227,14 +196,10 @@ def brute_opt_bsp(
             best[0], best[1] = sched, total
 
     # incumbent seeds (cheap upper bounds; always valid schedules)
-    if not duplication:
-        for seed in _seed_schedules(dag, P):
-            done = _complete_and_cost(dag, seed, model, params, maxbsp)
-            if done is not None:
-                consider(*done)
-    else:
-        base = BspSchedule(P, 1, {v: ((1, 1),) for v in range(1, n + 1)})
-        consider(base, dag.total_work())
+    for seed in _seed_schedules(dag, P):
+        done = _complete_and_cost(dag, seed, model, params, maxbsp)
+        if done is not None:
+            consider(*done)
 
     order = dag.topo_order()
     pred = dag.pred()

@@ -243,6 +243,26 @@ def test_cs_greedy_refuses_duplicated_node(files, capsys):
     assert "single-copy" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["eager", "lazy", "brute"])
+def test_cs_sends_from_a_copy_off_the_target(files, capsys, method):
+    # node 1's first copy lies on p1, which needs it; its copy on p2 sends
+    dag = files("d.dag", "2 1\n1 2\n")
+    partial = files("pt.sched", "p 1 1 1\ns 1 3 1\np 1 2 2\ns 1 1 2\np 2 1\ns 2 2\n")
+    code, out, _ = run(capsys, "cs", method, "--dag", dag, "--partial", partial)
+    assert code == 0 and out == "t 1 2 1 1\n"
+
+
+def test_cs_greedy_refuses_communication_weights(files, capsys):
+    dag = files("d.dag", "7 6\n2 6\n2 7\n3 6\n4 7\n5 7\n6 7\n"
+                         "c 2 2\nc 3 3\nc 6 3\nc 7 3\n")
+    partial = files("pt.sched", "".join(
+        f"p {v} {p}\ns {v} {s}\n" for v, (p, s) in enumerate(
+            [(2, 2), (2, 2), (1, 2), (1, 1), (2, 2), (2, 4), (1, 5)], start=1)))
+    code, out, err = run(capsys, "cs", "greedy2", "--dag", dag, "--partial", partial)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "unit communication weights" in err
+
+
 def test_ilp_emit_and_read(files, capsys, tmp_path):
     dag = files("d.dag", "2 1\n1 2\n")
     lp_path = str(tmp_path / "m.lp")

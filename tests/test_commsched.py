@@ -131,6 +131,45 @@ def test_eager_and_lazy_windows():
     assert cs_lazy(inst) == frozenset({(1, 1, 2, 3)})
 
 
+def test_eager_and_lazy_send_from_a_copy_off_the_target():
+    # node 1's first copy lies on p1, which needs it; its copy on p2 sends
+    dag = Dag(2, ((1, 2),))
+    inst = CsInstance(dag, 2, 3, {1: ((1, 3), (2, 1)), 2: ((1, 2),)})
+    assert cs_eager(inst) == cs_lazy(inst) == frozenset({(1, 2, 1, 1)})
+
+
+def test_eager_and_lazy_complete_duplicated_instances():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, P = rng.randint(2, 7), rng.randint(2, 3)
+        dag = random_dag(n, 0.5, rng)
+        S, pred, assign = 3 * n, dag.pred(), {}
+        for v in dag.topo_order():  # copies near their inputs' earliest copies
+            s = max((min(su for (_, su) in assign[u]) for u in pred[v]), default=1)
+            assign[v] = tuple(sorted({(rng.randint(1, P), s + rng.randint(0, 2))
+                                      for _ in range(rng.randint(1, 3))}))
+        try:
+            inst = CsInstance(dag, P, S, assign)
+        except CsError:
+            continue
+        for gamma in (cs_eager(inst), cs_lazy(inst)):
+            sched = BspSchedule(P, S, inst.assign, gamma)
+            assert check_validity(dag, sched, DS, duplication=True).valid, seed
+
+
+def test_greedy_refuses_communication_weights():
+    # the greedy counts values; on these weights it sends 7 units where 6
+    # suffice, so it refuses instead of returning a set above the optimum
+    dag = Dag(7, ((2, 6), (2, 7), (3, 6), (4, 7), (5, 7), (6, 7)),
+              comm_weight={2: 2, 3: 3, 6: 3, 7: 3})
+    inst = instance(dag, 2, 5, {1: (2, 2), 2: (2, 2), 3: (1, 2), 4: (1, 1),
+                                5: (2, 2), 6: (2, 4), 7: (1, 5)})
+    _, best = cs_bruteforce(inst, DS)
+    assert best == 6
+    with pytest.raises(CsError, match="unit communication weights"):
+        cs_greedy_p2(inst)
+
+
 def test_single_slot_window():
     dag = Dag(2, ((1, 2),))
     inst = instance(dag, 2, 2, {1: (1, 1), 2: (2, 2)})

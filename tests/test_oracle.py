@@ -12,6 +12,7 @@ from bspsched.oracle import (
     ratio_report,
 )
 from bspsched.schedule import (
+    BspSchedule,
     DB,
     DS,
     FB,
@@ -146,6 +147,27 @@ def test_maxbsp_at_most_bsp():
         assert opt_m <= opt_b
         report, total = check_maxbsp(dag, sched_m, MachineParams(2, 0))
         assert report.valid and total == opt_m
+
+
+# a superstep without communication costs its work alone under maxbsp,
+# which this witness uses in superstep 1
+MAXBSP_GAP_DAG = Dag(5, ((1, 4), (2, 4), (2, 5), (3, 5)))
+
+
+def test_maxbsp_gap_witness_costs_4():
+    sched = BspSchedule(3, 3, {1: ((1, 1),), 2: ((1, 2),), 3: ((2, 1),),
+                               4: ((1, 2),), 5: ((1, 3),)},
+                        frozenset({(3, 2, 1, 2)}))
+    report, total = check_maxbsp(MAXBSP_GAP_DAG, sched, MachineParams(1, 1))
+    assert report.valid and total == 4
+
+
+@pytest.mark.xfail(strict=True, reason="the maxbsp bound charges every "
+                   "non-last superstep at least g + L, so it prunes the "
+                   "witness above")
+def test_maxbsp_optimum_reaches_gap_witness():
+    _, opt = brute_opt_bsp(MAXBSP_GAP_DAG, 3, 1, 1, DS, maxbsp=True)
+    assert opt <= 4
 
 
 def test_sandwich_bounds():

@@ -23,6 +23,9 @@ HALVES = gen_taxonomy_fixture("three_halves", g=2, k0=2)  # 15 automorphisms
 CLASSWW = gen_taxonomy_fixture("classWW")  # weighted
 RECOMP = gen_taxonomy_fixture("recomp")  # weighted
 FORK = gen_taxonomy_fixture("fork", length=4)
+# the path-cover pipeline seed meets the maxbsp bound on both at once
+TWO_MINUS_EPS = gen_taxonomy_fixture("two_minus_eps", g=2, k=1, p=3)
+TWO_MINUS_EPS_P2 = gen_taxonomy_fixture("two_minus_eps", g=1, k=1, p=2)
 WEIGHTED = Dag(
     8,
     ((1, 2), (1, 4), (1, 6), (1, 7), (2, 3), (2, 8), (3, 5), (3, 6), (3, 7),
@@ -58,9 +61,14 @@ PINS = {
     "bsp-weighted-ds": (_bsp(WEIGHTED, 3, 1, 1, "ds"), 13, 1307),
     "bsp-weighted-fs": (_bsp(WEIGHTED, 3, 1, 1, "fs"), 13, 1414),
     "bsp-maxbsp": (_bsp(HALVES, 3, 2, 0, "ds", maxbsp=True), 6, 6054),
+    "bsp-maxbsp-pipeline": (
+        _bsp(TWO_MINUS_EPS, 3, 2, 0, "ds", maxbsp=True), 6, 1),
     "bsp-duplication-ds": (_bsp(FORK, 2, 1, 0, "ds", duplication=True), 5, 53),
     "bsp-duplication-weighted-fs": (
         _bsp(WEIGHTED_SMALL, 2, 1, 1, "fs", duplication=True), 10, 363),
+    "bsp-duplication-maxbsp-pipeline": (
+        _bsp(TWO_MINUS_EPS_P2, 2, 1, 0, "ds", duplication=True, maxbsp=True),
+        4, 1),
     "timed-classical": (_timed(GRID, 2, 1, "classical"), 6, 1903),
     "timed-classical-barrier": (_timed(CLASSWW, 3, 1, "classical_barrier"), 6, 23),
     "timed-commdelay": (_timed(HALVES, 3, 1, "commdelay"), 5, 559),
