@@ -9,8 +9,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .dag import Dag, DagError, classify, gen_layered, gen_taxonomy_fixture, \
-    parse_dag, serialize_dag
+from .dag import MAX_NODES, Dag, DagError, classify, gen_layered, \
+    gen_taxonomy_fixture, parse_dag, serialize_dag
 from .schedule import (
     MODELS,
     MachineParams,
@@ -50,13 +50,6 @@ def _load_dag(path: str) -> Dag:
     return parse_dag(_read(path))
 
 
-def _model(code: str):
-    try:
-        return MODELS[code]
-    except KeyError:
-        raise CliError(f"unknown model {code!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -64,7 +57,7 @@ def _model(code: str):
 def _cmd_validate(args) -> int:
     dag = _load_dag(args.dag)
     sched = parse_schedule(_read(args.sched), dag)
-    report = check_validity(dag, sched, _model(args.model), args.duplication)
+    report = check_validity(dag, sched, MODELS[args.model], args.duplication)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if report.valid:
@@ -83,7 +76,7 @@ def _cmd_cost(args) -> int:
     dag = _load_dag(args.dag)
     sched = parse_schedule(_read(args.sched), dag)
     params = MachineParams(g=args.g, L=args.L)
-    breakdown = cost(dag, sched, _model(args.model), params)
+    breakdown = cost(dag, sched, MODELS[args.model], params)
     lat_steps = sum(1 for c in breakdown.comm if c > 0)
     sep = "," if args.csv else " "
     print(sep.join(("superstep", "work", "comm")))
@@ -126,10 +119,8 @@ def _cmd_gen(args) -> int:
         dag = gen_taxonomy_fixture("two_minus_eps", g=args.g, k=args.k, p=args.P)
     elif name == "three_halves":
         dag = gen_taxonomy_fixture("three_halves", g=args.g, k0=args.k0)
-    elif name in ("classWW", "recomp"):
+    else:  # classWW, recomp
         dag = gen_taxonomy_fixture(name)
-    else:
-        raise CliError(f"unknown generator {name!r}")
     _write_out(serialize_dag(dag), args.out)
     return 0
 
@@ -141,6 +132,9 @@ def _parse_chain_lengths(text: str) -> List[int]:
         raise CliError(f"bad chain lengths {text!r}") from None
     if not lengths or any(x < 1 for x in lengths):
         raise CliError("chain lengths must be positive integers")
+    total = sum(lengths)
+    if total > MAX_NODES:
+        raise CliError(f"{total} chain nodes exceed the limit of {MAX_NODES}")
     return lengths
 
 
@@ -163,19 +157,17 @@ def _cmd_chain_solve(args) -> int:
         dag = _load_dag(args.dag)
         dec = decompose_chains(dag)
     if args.greedy:
-        if dec.root is not None:
-            raise CliError("greedy splitter handles pure chain DAGs only")
         sched = greedy_chain(dec, args.P, args.g)
         edges = []
         for chain in dec.chains:
             edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
         ref = dag or Dag(dec.node_count, tuple(edges))
-        c = cost(ref, sched, _model(args.model), MachineParams(args.g, args.L)).cost
+        c = cost(ref, sched, MODELS[args.model], MachineParams(args.g, args.L)).cost
     elif dec.root is None:
         sched, c = solve_chain(dec, args.P, args.g, args.L)
     else:
         sched, c = solve_connected_chain(
-            dec, args.P, args.g, args.L, _model(args.model)
+            dec, args.P, args.g, args.L, MODELS[args.model]
         )
     sys.stdout.write(serialize_schedule(sched))
     print(f"# cost {c}")
@@ -190,17 +182,15 @@ def _cmd_cs(args) -> int:
     partial = parse_schedule(_read(args.partial), dag)
     inst = CsInstance(dag, partial.processor_count, partial.superstep_count,
                       partial.assign)
-    model = _model(args.model)
+    model = MODELS[args.model]
     if args.method == "greedy2":
         gamma = cs_greedy_p2(inst)
     elif args.method == "eager":
         gamma = cs_eager(inst)
     elif args.method == "lazy":
         gamma = cs_lazy(inst)
-    elif args.method == "brute":
+    else:  # brute
         gamma, _ = cs_bruteforce(inst, model, limit=args.limit)
-    else:
-        raise CliError(f"unknown method {args.method!r}")
     for (v, p1, p2, s) in sorted(gamma):
         print(f"t {v} {p1} {p2} {s}")
     return 0
@@ -211,7 +201,7 @@ def _emit_ilp(args):
     from .ilp import emit_ilp
 
     return emit_ilp(_load_dag(args.dag), args.P, S=args.supersteps, g=args.g,
-                    L=args.L, model=_model(args.model),
+                    L=args.L, model=MODELS[args.model],
                     duplication=args.duplication)
 
 
@@ -269,7 +259,7 @@ def _cmd_oracle(args) -> int:
         sys.stdout.write(serialize_timed_schedule(ts))
         print(f"# opt {opt}")
     else:
-        model = _model("ds" if args.model == "maxbsp" else args.model)
+        model = MODELS["ds" if args.model == "maxbsp" else args.model]
         sched, opt = brute_opt_bsp(
             dag,
             args.P,

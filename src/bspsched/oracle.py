@@ -33,13 +33,11 @@ class OracleBudget:
     max_p: int = 3
     max_s: Optional[int] = None          # defaults to n
     node_budget: int = 10**8
-    spd_max_nodes: int = 5
-    spd_max_g: int = 2
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            least = 0 if name in ("node_budget", "spd_max_g") else 1
+            least = 0 if name == "node_budget" else 1
             if value is not None and value < least:
                 raise ValueError(f"budget field {name} must be >= {least}")
 
@@ -148,7 +146,9 @@ def _complete_and_cost(
     params: MachineParams,
     maxbsp: bool,
 ) -> Optional[Tuple[BspSchedule, int]]:
-    """Attach a communication set to a bare assignment and price it."""
+    """Attach a communication set to a bare assignment and price it; None
+    when the assignment admits no communication. Raises BudgetExceeded when
+    the assignment has more cross requirements than cs_bruteforce takes."""
     try:
         inst = CsInstance(dag, sched.processor_count, sched.superstep_count,
                           sched.assign, maxbsp=maxbsp)
@@ -166,8 +166,9 @@ def _complete_and_cost(
             gamma = cs_greedy_p2(inst)
         else:
             gamma, _ = cs_bruteforce(inst, model, limit=64)
-    except CsError:
-        return None
+    except CsError as e:
+        # CsInstance admits every requirement, so only the limit refuses
+        raise BudgetExceeded(f"search leaf refused: {e}") from None
     full = BspSchedule(sched.processor_count, sched.superstep_count,
                        sched.assign, comms=gamma)
     return full, total if maxbsp else bsp_cost(dag, full, model, params).cost
@@ -197,7 +198,10 @@ def brute_opt_bsp(
 
     # incumbent seeds (cheap upper bounds; always valid schedules)
     for seed in _seed_schedules(dag, P):
-        done = _complete_and_cost(dag, seed, model, params, maxbsp)
+        try:
+            done = _complete_and_cost(dag, seed, model, params, maxbsp)
+        except BudgetExceeded:  # a seed is only an incumbent
+            continue
         if done is not None:
             consider(*done)
 
@@ -456,25 +460,24 @@ def brute_opt_bsp(
     return normalize(best[0]), best[1]
 
 
-def _timed_incumbent(dag: Dag, P: int, delay: Optional[int],
+def _timed_incumbent(dag: Dag, P: int, delay: int,
                      rank: Sequence[int], span) -> Tuple[TimedSchedule, int]:
     """A valid schedule and its makespan: the one-processor serial schedule
     in topological order (valid in every timed model, makespan the total
-    work), or, unless delay is None, an earliest-task-first list schedule
-    (Hwang, Chow, Anger and Lee, 1989) if span (the model's checker: the
-    makespan, or None for an invalid schedule) accepts it with a smaller
-    makespan. The list schedule places, one at a time, the ready node and
-    processor with the earliest start; a value from another processor
-    arrives delay after its finish, and ties go to the larger rank, then
-    the lower processor, then the lower node."""
+    work), or an earliest-task-first list schedule (Hwang, Chow, Anger and
+    Lee, 1989) if span (the model's checker: the makespan, or None for an
+    invalid schedule) accepts it with a smaller makespan. The list schedule
+    places, one at a time, the ready node and processor with the earliest
+    start; a value from another processor arrives delay after its finish,
+    and ties go to the larger rank, then the lower processor, then the
+    lower node. It sends no messages, so spd's checker accepts it only when
+    no edge crosses processors."""
     order, pred, succ = dag.topo_order(), dag.pred(), dag.succ()
     serial, t = {}, 1
     for v in order:
         serial[v] = ((1, t),)
         t += dag.w_work(v)
     best = (TimedSchedule(P, serial), t - 1)
-    if delay is None:
-        return best
     at: Dict[int, Tuple[int, int]] = {}  # placed node -> (processor, start)
     done: Dict[int, int] = {}  # placed node -> first slot after it
     free = [1] * (P + 1)  # first free slot of each processor
@@ -506,11 +509,10 @@ def brute_opt_timed(
     duplication: bool = False,
 ) -> Tuple[TimedSchedule, int]:
     """Exact minimum makespan for the timed models. The incumbent is the
-    best of the one-processor serial schedule and, outside spd, an
-    earliest-task-first list schedule that the model's checker accepts;
-    candidate makespans then rise from the lower bound to just below the
-    incumbent's, so the first feasible target, or else the incumbent, is
-    optimal."""
+    best of the one-processor serial schedule and an earliest-task-first
+    list schedule that the model's checker accepts; candidate makespans
+    then rise from the lower bound to just below the incumbent's, so the
+    first feasible target, or else the incumbent, is optimal."""
     from .variants import check_classical, check_spd
 
     budget = budget or OracleBudget.from_env()
@@ -519,17 +521,8 @@ def brute_opt_timed(
         raise ValueError(f"unknown timed model {model!r}")
     MachineParams(g, 0)  # raises ScheduleError on a negative g
     _check_size(n, P, budget)
-    if model == "spd":
-        if duplication:
-            raise ValueError("duplication is not supported in the spd model")
-        if n > budget.spd_max_nodes:
-            raise BudgetExceeded(
-                f"{n} nodes exceed the spd budget ({budget.spd_max_nodes})"
-            )
-        if g > budget.spd_max_g:
-            raise BudgetExceeded(f"g={g} exceeds the spd budget ({budget.spd_max_g})")
-    if duplication and model == "commdelay":
-        raise ValueError("duplication is not supported in the commdelay model")
+    if duplication and model in ("commdelay", "spd"):
+        raise ValueError(f"duplication is not supported in the {model} model")
 
     counter = _Counter(budget.node_budget)
     order = dag.topo_order()
@@ -537,13 +530,10 @@ def brute_opt_timed(
     succ = dag.succ()
     w = [0] + [dag.w_work(v) for v in range(1, n + 1)]
     total = dag.total_work()
-    ef = [0] * (n + 1)
-    for v in order:
-        ef[v] = w[v] + max((ef[u] for u in pred[v]), default=0)
     lp_from = [0] * (n + 1)
     for v in reversed(order):
         lp_from[v] = w[v] + max((lp_from[x] for x in succ[v]), default=0)
-    lb = max(max(ef), -(-total // P))
+    lb = max(max(lp_from), -(-total // P))
     barrier = model == "classical_barrier"
     delay = g if model in ("commdelay", "spd") else 0
 
@@ -555,8 +545,7 @@ def brute_opt_timed(
             rep, mk = check_classical(dag, ts, barrier, duplication, delay)
         return mk if rep.valid else None
 
-    incumbent, U = _timed_incumbent(
-        dag, P, None if model == "spd" else delay, lp_from, span)
+    incumbent, U = _timed_incumbent(dag, P, delay, lp_from, span)
 
     def feasible(T: int) -> Optional[TimedSchedule]:
         ls = [T - lp_from[v] + 1 for v in range(n + 1)]

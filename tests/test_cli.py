@@ -224,6 +224,23 @@ def test_chain_solve_requires_one_input(capsys):
     assert code == 1 and "error" in err
 
 
+def test_chain_solve_greedy_refuses_rooted_chains(files, capsys):
+    dag = files("rooted.dag", "3 2\n1 2\n1 3\n")
+    code, out, err = run(capsys, "chain-solve", "--dag", dag, "-P", "2",
+                         "--greedy")
+    assert code == 1 and out == ""
+    assert err == "error: greedy splitter handles pure chain DAGs only\n"
+
+
+@pytest.mark.parametrize("extra", [(), ("--greedy",)], ids=["exact", "greedy"])
+def test_chain_solve_above_node_cap_is_domain_error(capsys, extra):
+    # the chains used to be built until memory ran out
+    code, out, err = run(capsys, "chain-solve", "--chains", f"{MAX_NODES + 1}",
+                         "-P", "2", *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"limit of {MAX_NODES}" in err
+
+
 def test_cs_greedy_picks_middle_superstep(files, capsys):
     dag = files("d.dag", PIPE_DAG)
     partial = files("pt.sched", PIPE_PARTIAL)

@@ -4,14 +4,19 @@ read.
 
 Walks the syntax tree of each module in the package; ``__init__.py`` is
 exempt from the import check because its imports are the public re-exports.
+Also checks that every package name the benchmark's tracer wraps still
+exists.
 """
 
 import ast
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bspsched"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bspsched"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -178,3 +183,33 @@ def test_detects_unused_param():
     assert unused_params(source) == [
         (2, "m", "b"), (2, "m", "c"), (2, "m", "rest"), (7, "k", "e"),
     ]
+
+
+def _bench_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_tracing_finds_every_name_it_wraps(workload):
+    # the traced bench run wraps package functions by name, so a rename or
+    # deletion here must fail before it crashes that run
+    from bspsched import cli, commsched, dag, ilp, oracle, variants
+
+    modules = (cli, commsched, dag, ilp, oracle, variants)
+    before = [dict(vars(m)) for m in modules]
+    tracing = _bench_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, workload)
+        tracing.install_generators(tracer)
+    finally:
+        tracer.restore()
+    assert [dict(vars(m)) for m in modules] == before

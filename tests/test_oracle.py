@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bspsched import oracle
 from bspsched.dag import Dag, gen_layered, gen_taxonomy_fixture, random_dag
 from bspsched.oracle import (
     RATIO_HEADER,
@@ -38,22 +39,24 @@ def test_budget_from_env(monkeypatch):
     monkeypatch.setenv("BSPSCHED_BUDGET", "max_nodes=12,max_p=4")
     b = OracleBudget.from_env()
     assert b.max_nodes == 12 and b.max_p == 4
-    monkeypatch.setenv("BSPSCHED_BUDGET", "bogus=1")
-    with pytest.raises(ValueError):
-        OracleBudget.from_env()
+    # spd takes the common budget: its old fields are unknown too
+    for unknown in ("bogus=1", "spd_max_nodes=8", "spd_max_g=2"):
+        monkeypatch.setenv("BSPSCHED_BUDGET", unknown)
+        with pytest.raises(ValueError, match="unknown budget field"):
+            OracleBudget.from_env()
 
 
 @pytest.mark.parametrize("field,value", [
     ("max_nodes", 0), ("max_p", 0), ("max_s", 0), ("max_s", -1),
-    ("spd_max_nodes", 0), ("node_budget", -1), ("spd_max_g", -1),
+    ("node_budget", -1),
 ])
 def test_budget_rejects_out_of_range_fields(field, value):
     with pytest.raises(ValueError, match=f"budget field {field} must be"):
         OracleBudget(**{field: value})
 
 
-def test_budget_accepts_zero_node_budget_and_spd_g():
-    OracleBudget(node_budget=0, spd_max_g=0)
+def test_budget_accepts_zero_node_budget():
+    OracleBudget(node_budget=0)
 
 
 def test_budget_from_env_names_non_integer_field(monkeypatch):
@@ -272,9 +275,43 @@ def test_bsp_rejects_p_below_one(kw, P):
         brute_opt_bsp(Dag(3, ((1, 2), (2, 3))), P, 1, 0, **kw)
 
 
-def test_spd_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        brute_opt_timed(Dag(6, ()), 2, 1, "spd")
+def test_spd_solves_six_nodes():
+    # above the old spd cap of 5 nodes: three per processor, no transfer
+    dag = Dag(6, ())
+    ts, ms = brute_opt_timed(dag, 2, 1, "spd")
+    report, got = check_spd(dag, ts, 1)
+    assert ms == 3 and report.valid and got == 3
+
+
+def test_spd_solves_eight_nodes_on_three_processors():
+    rng = random.Random(8)
+    transfers = 0
+    for _ in range(4):
+        dag = random_dag(8, rng.choice((0.3, 0.45)), rng)
+        g = rng.choice((1, 2))
+        ts, ms = brute_opt_timed(dag, 3, g, "spd")
+        report, got = check_spd(dag, ts, g)
+        assert report.valid and got == ms
+        # a value reaches another processor no sooner under spd than after
+        # commdelay's delay g
+        assert ms >= brute_opt_timed(dag, 3, g, "commdelay")[1]
+        transfers += len(ts.timed_comms)
+    assert transfers
+
+
+def test_bsp_search_refuses_leaf_beyond_completion_limit(monkeypatch):
+    # with cs_bruteforce taking one cross requirement, the optimum (node 1,
+    # then 2, 3 and 4 side by side) has a leaf that needs two; it must end
+    # the search, not vanish from it
+    real = oracle.cs_bruteforce
+
+    def limited(inst, model, limit, **kw):
+        return real(inst, model, 1, **kw)
+
+    monkeypatch.setattr(oracle, "cs_bruteforce", limited)
+    fork = Dag(4, ((1, 2), (1, 3), (1, 4)))
+    with pytest.raises(BudgetExceeded, match="search leaf refused"):
+        brute_opt_bsp(fork, 3, 0, 0)
 
 
 def test_ratio_report_layered():

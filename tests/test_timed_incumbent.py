@@ -74,8 +74,7 @@ def dags(draw, max_nodes):
 @given(st.data())
 def test_optimum_matches_plain_upward_loop(data):
     model, duplication = data.draw(st.sampled_from(VARIANTS))
-    # the spd search is budgeted to 5 nodes and stays slow beyond
-    dag = data.draw(dags(5 if model == "spd" else 8))
+    dag = data.draw(dags(8))
     P = data.draw(st.sampled_from((2, 3)))
     g = data.draw(st.sampled_from((0, 1, 2)))
     ts, opt = brute_opt_timed(dag, P, g, model, BUDGET, duplication)
