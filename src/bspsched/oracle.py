@@ -4,6 +4,7 @@ Everything here is branch and bound with admissible lower bounds, so returned
 values are true optima. Budgets make refusal explicit instead of thrashing.
 """
 
+import heapq
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -95,6 +96,26 @@ def _copy_sets(P: int, used: int, starts) -> List[Tuple[Tuple[int, int], ...]]:
     return sets
 
 
+def _search_order(dag: Dag) -> List[int]:
+    """The topological order both exact searches place nodes in: each step
+    takes the ready node whose last predecessor was placed most recently
+    (a source counts as placed at -1), ties to the lower node. So a node
+    follows the nodes it reads from as closely as it can, and independent
+    parts of the DAG are not interleaved."""
+    succ = dag.succ()
+    waiting = {v: len(us) for v, us in dag.pred().items()}
+    ready = [(1, v) for v, k in waiting.items() if not k]  # a sorted heap
+    order: List[int] = []
+    while ready:
+        _, u = heapq.heappop(ready)
+        order.append(u)
+        for x in succ[u]:
+            waiting[x] -= 1
+            if not waiting[x]:
+                heapq.heappush(ready, (1 - len(order), x))
+    return order
+
+
 def _greedy_path_cover(dag: Dag) -> List[List[int]]:
     """Cover all nodes with vertex-disjoint paths, following the smallest
     unvisited successor; used only to build heuristic seed schedules."""
@@ -184,6 +205,15 @@ def brute_opt_bsp(
     duplication: bool = False,
     maxbsp: bool = False,
 ) -> Tuple[BspSchedule, int]:
+    """An optimal schedule and its exact optimum cost. The incumbent is the
+    better of the serial schedule and the path-cover pipeline; each
+    superstep count S then gets a branch and bound over assignments, placing
+    nodes in _search_order and opening at most the lowest unused processor.
+    The single-copy searches also place each twin (same predecessors,
+    successors and weights) no lower than its earlier twin. Raises
+    BudgetExceeded when the input exceeds the budget, when the node budget
+    runs out, or when the superstep counts above budget.max_s could still
+    beat the incumbent."""
     budget = budget or OracleBudget.from_env()
     n = dag.node_count
     _check_size(n, P, budget)
@@ -205,7 +235,7 @@ def brute_opt_bsp(
         if done is not None:
             consider(*done)
 
-    order = dag.topo_order()
+    order = _search_order(dag)
     pred = dag.pred()
     succ = dag.succ()
     w = [0] + [dag.w_work(v) for v in range(1, n + 1)]
@@ -214,6 +244,22 @@ def brute_opt_bsp(
     gap = 2 if maxbsp else 1
     broadcast = model.cast == "broadcast"
     direct = model.transfer == "direct"
+    # twin[v]: v's nearest earlier twin in the search order, 0 if none. The
+    # twin rule lets v take only placements (p, s) >= twin[v]'s. Swapping
+    # two twins' placements and sends is a DAG automorphism, so it keeps a
+    # schedule valid at the same cost; so is relabeling processors. In the
+    # orbit of an optimum under both, the member whose placements, read in
+    # search order, are lexicographically least keeps the twin rule (else
+    # the swap is smaller) and the lowest-unused-processor rule (else
+    # relabeling by first use is smaller), so the search still reaches it.
+    twin = [0] * (n + 1)
+    if not duplication:
+        last = {}
+        for v in order:
+            key = (tuple(sorted(pred[v])), tuple(sorted(succ[v])), w[v],
+                   dag.w_comm(v))
+            twin[v] = last.get(key, 0)
+            last[key] = v
 
     max_s = budget.max_s or n
 
@@ -341,8 +387,9 @@ def brute_opt_bsp(
             if duplication:
                 options = _copy_sets(P, used, lambda p: starts(v, p))
             else:
-                for p in range(1, min(used + 1, P) + 1):
-                    lo = 1
+                (tp, ts) = placed[twin[v]][0] if twin[v] else (1, 1)
+                for p in range(tp, min(used + 1, P) + 1):
+                    lo = ts if p == tp else 1
                     ok = True
                     for u in pred[v]:
                         (pu, su) = placed[u][0]
@@ -448,13 +495,16 @@ def brute_opt_bsp(
 
         place(0)
 
-    for S in range(1, min(max_s, n) + 1):
+    for S in range(1, n + 1):
         if best[1] is not None and S > 1:
             floor = work_floor + (g + L) * (S - 1) if not maxbsp else max(
                 work_floor, S
             )
             if floor >= best[1]:
                 break
+        if S > max_s:
+            raise BudgetExceeded(
+                f"max_s={max_s}: {S} supersteps could still beat cost {best[1]}")
         search_fixed_s(S)
 
     return normalize(best[0]), best[1]
@@ -512,7 +562,8 @@ def brute_opt_timed(
     best of the one-processor serial schedule and an earliest-task-first
     list schedule that the model's checker accepts; candidate makespans
     then rise from the lower bound to just below the incumbent's, so the
-    first feasible target, or else the incumbent, is optimal."""
+    first feasible target, or else the incumbent, is optimal. Each target
+    is a search placing nodes in _search_order."""
     from .variants import check_classical, check_spd
 
     budget = budget or OracleBudget.from_env()
@@ -525,7 +576,7 @@ def brute_opt_timed(
         raise ValueError(f"duplication is not supported in the {model} model")
 
     counter = _Counter(budget.node_budget)
-    order = dag.topo_order()
+    order = _search_order(dag)
     pred = dag.pred()
     succ = dag.succ()
     w = [0] + [dag.w_work(v) for v in range(1, n + 1)]

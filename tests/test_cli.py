@@ -543,6 +543,19 @@ def test_bad_budget_is_domain_error(files, capsys, monkeypatch, budget):
     assert err.startswith("error: budget field max_")
 
 
+def test_max_s_below_the_optimum_is_domain_error(files, capsys, monkeypatch):
+    # max_s=1 used to print the serial seed's "# opt 7" and exit 0
+    dag = files("fork3.dag", "7 6\n1 2\n2 3\n3 4\n1 5\n5 6\n6 7\n")
+    argv = ("oracle", "--dag", dag, "-P", "2", "-g", "1")
+    monkeypatch.setenv("BSPSCHED_BUDGET", "max_s=1")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: max_s=1") and "Traceback" not in err
+    monkeypatch.setenv("BSPSCHED_BUDGET", "max_s=2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[-1] == "# opt 5"
+
+
 # every solver command that takes a machine size or cost parameter
 ORACLE_MODELS = ("ds", "db", "fs", "fb", "maxbsp", "classical", "barrier",
                  "commdelay", "spd")

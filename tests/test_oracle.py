@@ -59,6 +59,16 @@ def test_budget_accepts_zero_node_budget():
     OracleBudget(node_budget=0)
 
 
+def test_max_s_refuses_when_more_supersteps_could_win():
+    # the serial seed costs 7 in one superstep; the optimum 5 needs two, so
+    # max_s=1 must refuse rather than return 7
+    fork = gen_taxonomy_fixture("fork", length=3)
+    with pytest.raises(BudgetExceeded, match="max_s=1"):
+        brute_opt_bsp(fork, 2, 1, 0, budget=OracleBudget(max_s=1))
+    # at S = 3 the floor 4 + 2 already reaches 5, so max_s=2 is enough
+    assert brute_opt_bsp(fork, 2, 1, 0, budget=OracleBudget(max_s=2))[1] == 5
+
+
 def test_budget_from_env_names_non_integer_field(monkeypatch):
     monkeypatch.setenv("BSPSCHED_BUDGET", "max_nodes")
     with pytest.raises(ValueError, match="budget field max_nodes needs an integer"):
