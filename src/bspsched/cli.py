@@ -226,14 +226,14 @@ def _cmd_hrel(args) -> int:
     from .hrelation import DemandMatrix, decompose
 
     rows = []
-    for line in _read(args.matrix).splitlines():
+    for lineno, line in enumerate(_read(args.matrix).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         try:
             rows.append([int(x) for x in stripped.replace(",", " ").split()])
         except ValueError:
-            raise CliError(f"bad matrix line {stripped!r}") from None
+            raise CliError(f"line {lineno}: bad matrix line {stripped!r}") from None
     matrix = DemandMatrix(rows)
     if matrix.h > MAX_HREL_H:
         raise CliError(f"h = {matrix.h} exceeds {MAX_HREL_H} slots")

@@ -2,14 +2,19 @@
 assignment with a minimum-cost communication set.
 
 Costs here are communication units (multiples of g) summed over supersteps;
-latency is excluded by default since every feasible communication set for a
-fixed assignment can be charged the same way by the caller.
+a maxbsp instance is priced in full instead. Latency is left out, though two
+feasible sets of equal units can pay it in different numbers of supersteps.
+The oracle is exact all the same: at an optimum's least superstep count
+every boundary communicates, since two supersteps with no communication
+between them merge at no extra cost, so a minimum-unit completion of that
+assignment pays no more latency than the optimum.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, \
+    Tuple
 
 from .dag import Dag
 from .schedule import CommModel, MachineParams, ValidityReport, comm_loads, \
@@ -61,24 +66,17 @@ class CsInstance:
             (u, p, s, v) for (u, p), (s, v) in sorted(need.items())))
 
 
-@dataclass
-class Requirement:
+class Requirement(NamedTuple):
     value: int
     target: int
     first_need: int
-    options: List[FrozenSet[Tuple[int, int, int, int]]] = field(default_factory=list)
 
 
 def cross_requirements(inst: CsInstance) -> List[Requirement]:
-    """One fresh requirement per (value, target processor) pair that some
+    """One requirement per (value, target processor) pair that some
     consumer copy cannot satisfy locally; first_need is the earliest such
     superstep."""
     return [Requirement(u, p, s) for (u, p, s, _) in inst.needs]
-
-
-def _direct_window(inst: CsInstance, src_sup: int, first_need: int) -> range:
-    lo = src_sup + (1 if inst.maxbsp else 0)
-    return range(lo, first_need)
 
 
 def _send_at(inst: CsInstance, lazy: bool) -> FrozenSet[Tuple[int, int, int, int]]:
@@ -159,79 +157,61 @@ def cs_greedy_p2(inst: CsInstance) -> FrozenSet[Tuple[int, int, int, int]]:
     return frozenset(gamma)
 
 
-def _relay_paths(
-    inst: CsInstance, value: int, p1: int, s1: int, target: int, first_need: int
-) -> List[FrozenSet[Tuple[int, int, int, int]]]:
-    """All multi-hop delivery plans from a holder to the target; each hop
-    takes one communication phase and strictly later supersteps."""
-    lo = s1 + (1 if inst.maxbsp else 0)
-    plans = []
-
-    def extend(path_procs: List[int], path_tuples: List, s_min: int):
-        cur = path_procs[-1]
-        if cur == target:
-            plans.append(frozenset(path_tuples))
-            return
-        if len(path_procs) - 1 >= inst.P - 1:  # hop budget
-            return
-        for nxt in range(1, inst.P + 1):
-            if nxt in path_procs:
-                continue
-            for s in range(s_min, first_need):
-                extend(
-                    path_procs + [nxt],
-                    path_tuples + [(value, cur, nxt, s)],
-                    s + 1,
-                )
-
-    extend([p1], [], lo)
-    return plans
+def _plans(
+    value: int, path: Tuple[int, ...], lo: int, target: int, first_need: int,
+    hops: int, P: int,
+) -> Iterator[Tuple[Tuple[int, int, int, int], ...]]:
+    """Every delivery plan of value from path[-1] to target in at most hops
+    sends, each leaving in a superstep from lo up to first_need - 1 and
+    later than the hop before it, through no processor of path twice. The
+    last allowed hop goes only to the target."""
+    nexts = [target] if hops == 1 else [q for q in range(1, P + 1) if q not in path]
+    for q in nexts:
+        for s in range(lo, first_need):
+            hop = (value, path[-1], q, s)
+            if q == target:
+                yield (hop,)
+            else:
+                for rest in _plans(value, path + (q,), s + 1, target,
+                                   first_need, hops - 1, P):
+                    yield (hop,) + rest
 
 
 def cs_bruteforce(
     inst: CsInstance,
     model: CommModel,
     limit: int = 20,
-    objective: str = "comm",
     params: Optional[MachineParams] = None,
 ) -> Tuple[FrozenSet[Tuple[int, int, int, int]], int]:
     """Exact minimum communication set by branch and bound over delivery plans.
 
-    objective "comm" minimizes total communication units; "maxbsp" minimizes
-    the full overlapped-superstep cost sum_s max(work_s, g*comm_s [+ L]) and
-    requires params.
+    A maxbsp instance minimizes the overlapped-superstep cost
+    sum_s max(work_s, g*comm_s [+ L]) and requires params. Every other
+    instance minimizes communication units; that set may pay more latency
+    than another of equal units, but not at the least superstep count of an
+    optimum, where every boundary communicates (see the module docstring).
+    A value travels in one hop under direct transfer, in up to P - 1 under
+    free transfer.
     """
-    reqs = cross_requirements(inst)
-    if len(reqs) > limit:
-        raise CsError(f"{len(reqs)} cross requirements exceed the limit {limit}")
-
+    if len(inst.needs) > limit:
+        raise CsError(f"{len(inst.needs)} cross requirements exceed the limit {limit}")
     work = None
-    if objective == "maxbsp":
+    if inst.maxbsp:
         if params is None:
-            raise CsError("maxbsp objective needs machine parameters")
+            raise CsError("a maxbsp instance needs machine parameters")
         work = work_loads(inst.dag, inst.P, inst.S, inst.assign)
-    elif objective != "comm":
-        raise CsError(f"unknown objective {objective!r}")
 
-    for req in reqs:
-        opts: Set[FrozenSet] = set()
-        for (p1, s1) in inst.assign[req.value]:
-            if p1 == req.target:
-                continue
-            for s in _direct_window(inst, s1, req.first_need):
-                opts.add(frozenset([(req.value, p1, req.target, s)]))
-            if model.transfer == "free":
-                for plan in _relay_paths(
-                    inst, req.value, p1, s1, req.target, req.first_need
-                ):
-                    opts.add(plan)
-        if not opts:
-            raise CsError(f"value {req.value} undeliverable to p{req.target}")
-        req.options = sorted(opts, key=lambda f: (len(f), sorted(f)))
-    reqs.sort(key=lambda r: len(r.options))
+    off = 1 if inst.maxbsp else 0
+    hops = inst.P - 1 if model.transfer == "free" else 1
+    options = []  # nonempty: CsInstance checked a direct window for each need
+    for (u, p, s, _) in inst.needs:
+        plans = {frozenset(plan) for (pu, su) in inst.assign[u] if pu != p
+                 for plan in _plans(u, (pu,), su + off, p, s, hops, inst.P)}
+        options.append(sorted(plans, key=lambda f: (len(f), sorted(f))))
+    options.sort(key=len)
 
     def evaluate(tuples: FrozenSet) -> int:
-        if objective == "comm":
+        if work is None:
             return comm_cost(inst, tuples, model)
         # every tuple pays its sender, as under singlecast
         _, _, h = comm_loads(inst.dag, inst.P, inst.S, tuples, False)
@@ -243,10 +223,10 @@ def cs_bruteforce(
         val = evaluate(tuples)
         if best[1] is not None and val >= best[1]:
             return
-        if i == len(reqs):
+        if i == len(options):
             best[0], best[1] = tuples, val
             return
-        for opt in reqs[i].options:
+        for opt in options[i]:
             run(i + 1, tuples | opt)
 
     run(0, frozenset())

@@ -109,7 +109,7 @@ def parse_dag(text: str) -> Dag:
     """Parse the line-based DAG file format.
 
     Line 1: "n m"; then m lines "u v"; optional "w u x" / "c u x" weight
-    lines; "#" starts a comment.
+    lines, at most one of each per node; "#" starts a comment.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,6 +146,7 @@ def parse_dag(text: str) -> Dag:
 
     work: Dict[int, int] = {}
     comm: Dict[int, int] = {}
+    seen = set()
     for lineno, s in lines[1 + m:]:
         parts = s.split()
         if len(parts) != 3 or parts[0] not in ("w", "c"):
@@ -153,6 +154,9 @@ def parse_dag(text: str) -> Dag:
         u, x = ints(lineno, " ".join(parts[1:]), 2)
         if not (1 <= u <= n):
             raise DagError(f"line {lineno}: node index out of range")
+        if (parts[0], u) in seen:
+            raise DagError(f"line {lineno}: second '{parts[0]}' line for node {u}")
+        seen.add((parts[0], u))
         target = work if parts[0] == "w" else comm
         if x != 1:
             target[u] = x

@@ -433,8 +433,8 @@ def render_lp(model: IlpModel) -> str:
 
 
 def parse_solution(text: str) -> Dict[str, float]:
-    """Solution file: one "name value" pair per line, '#' comments; every
-    value is a finite number."""
+    """Solution file: one "name value" pair per line, each name once, '#'
+    comments; every value is a finite number."""
     out: Dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -449,6 +449,8 @@ def parse_solution(text: str) -> Dict[str, float]:
             raise IlpError(f"line {lineno}: bad value {parts[1]!r}") from None
         if not math.isfinite(x):
             raise IlpError(f"line {lineno}: value {parts[1]!r} is not finite")
+        if parts[0] in out:
+            raise IlpError(f"line {lineno}: second value for {parts[0]}")
         out[parts[0]] = x
     return out
 

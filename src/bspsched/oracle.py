@@ -54,6 +54,8 @@ class OracleBudget:
             key = key.strip()
             if key not in OracleBudget.__dataclass_fields__:
                 raise ValueError(f"unknown budget field {key!r}")
+            if key in updates:
+                raise ValueError(f"budget field {key} given twice")
             try:
                 updates[key] = int(value)
             except ValueError:
@@ -177,16 +179,12 @@ def _complete_and_cost(
         return None
     unit = not dag.comm_weight
     try:
-        if maxbsp:
-            gamma, total = cs_bruteforce(
-                inst, model, limit=64, objective="maxbsp", params=params
-            )
-        elif inst.P == 2 and unit and all(
+        if not maxbsp and inst.P == 2 and unit and all(
             len(c) == 1 for c in sched.assign.values()
         ):
             gamma = cs_greedy_p2(inst)
         else:
-            gamma, _ = cs_bruteforce(inst, model, limit=64)
+            gamma, total = cs_bruteforce(inst, model, limit=64, params=params)
     except CsError as e:
         # CsInstance admits every requirement, so only the limit refuses
         raise BudgetExceeded(f"search leaf refused: {e}") from None

@@ -351,10 +351,10 @@ def read_schedule_lines(
 ) -> Tuple[Dict[int, List[Tuple[int, int]]], Set[Tuple[int, int, int, int]], int]:
     """Read the line-based schedule formats: "p v x [k]" puts copy k
     (default 1) of node v on processor x, "<key> v y [k]" gives that copy's
-    superstep (key "s") or start time (key "at"), and "t v p1 p2 y" is a
-    communication tuple; '#' starts a comment. Every node of the DAG must be
-    placed and no line may name another node. Returns (assign, comms, P),
-    P the largest processor named."""
+    superstep (key "s") or start time (key "at"), each given once, and
+    "t v p1 p2 y" is a communication tuple; '#' starts a comment. Every node
+    of the DAG must be placed and no line may name another node. Returns
+    (assign, comms, P), P the largest processor named."""
     what = {"s": "superstep", "at": "start time"}[key]
     proc: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (v, k) -> (x, line)
     when: Dict[Tuple[int, int], Tuple[int, int]] = {}  # (v, k) -> (y, line)
@@ -369,7 +369,11 @@ def read_schedule_lines(
             nums = []
         if parts[0] in ("p", key) and len(nums) in (2, 3):
             copy = (nums[0], nums[2] if len(nums) == 3 else 1)
-            (proc if parts[0] == "p" else when)[copy] = (nums[1], lineno)
+            table = proc if parts[0] == "p" else when
+            if copy in table:
+                raise ScheduleError(f"line {lineno}: second '{parts[0]}' line for "
+                                    f"node {copy[0]} copy {copy[1]}")
+            table[copy] = (nums[1], lineno)
         elif parts[0] == "t" and len(nums) == 4:
             comms.add(tuple(nums))
         else:

@@ -98,8 +98,8 @@ def weighted_dag(n, rng):
 
 
 def layered_assign(dag, P, rng):
-    """One copy per node, supersteps rising by at least two along each edge,
-    so every cross edge has a communication slot."""
+    """One copy per node, supersteps rising along each edge, so every cross
+    edge has a communication slot."""
     depth = {}
     for v in dag.topo_order():
         depth[v] = 1 + max((depth[u] for (u, w) in dag.edges if w == v), default=0)
@@ -143,14 +143,15 @@ def test_cost_matches_reference(n, P, S, max_copies, g, L, seed):
 def test_comm_cost_and_maxbsp_objective_match_reference(n, P, g, L, seed):
     rng = random.Random(seed)
     dag = weighted_dag(n, rng)
-    assign = layered_assign(dag, P, rng)
+    # supersteps spaced two apart, so every cross edge has a maxbsp window
+    assign = {v: ((p, 2 * s - 1),) for v, ((p, s),) in layered_assign(dag, P, rng).items()}
     S = max(s for ((_, s),) in assign.values()) + 1
-    inst = CsInstance(dag, P, S, assign)
+    inst = CsInstance(dag, P, S, assign, maxbsp=True)
     gamma = random_tuples(n, P, S, rng, rng.randint(0, 8))
     for model in MODELS.values():
         assert comm_cost(inst, gamma, model) == ref_comm_cost(inst, gamma, model)
     params = MachineParams(g, L)
-    best, value = cs_bruteforce(inst, DS, objective="maxbsp", params=params)
+    best, value = cs_bruteforce(inst, DS, params=params)
     assert value == ref_maxbsp_total(dag, P, S, assign, best, params, False)
 
 

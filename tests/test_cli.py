@@ -144,6 +144,16 @@ def test_validate_good_and_bad(files, capsys):
     assert code == 1 and "invalid" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "cost"])
+def test_repeated_schedule_line_is_domain_error(files, capsys, command):
+    # the last line used to win, and validate printed "valid"
+    dag = files("d.dag", "2 1\n1 2\n")
+    sched = files("s.bsp", "p 1 1\np 1 2\ns 1 1\np 2 2\ns 2 1\ns 2 2\n")
+    code, out, err = run(capsys, command, "--dag", dag, "--sched", sched)
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 2: second 'p' line for node 1 copy 1")
+
+
 def test_comm_tuple_for_unknown_node_is_domain_error(files, capsys):
     dag = files("d.dag", "4 3\n1 2\n2 3\n3 4\n")
     sched = files("s.bsp", "".join(f"p {v} 1\ns {v} {v}\n" for v in range(1, 5))
@@ -533,7 +543,8 @@ def test_p_below_one_is_domain_error(files, capsys, argv):
     assert "processor count must be >= 1" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("budget", ["max_s=-1", "max_s=0", "max_nodes"])
+@pytest.mark.parametrize("budget", ["max_s=-1", "max_s=0", "max_nodes",
+                                    "max_nodes=1,max_nodes=12"])
 def test_bad_budget_is_domain_error(files, capsys, monkeypatch, budget):
     # max_s=-1 used to skip every superstep count and print the seed's cost
     dag = files("fork3.dag", "7 6\n1 2\n2 3\n3 4\n1 5\n5 6\n6 7\n")
@@ -594,6 +605,14 @@ def test_dag_above_node_cap_is_domain_error(files, capsys):
     code, out, err = run(capsys, "classify", "--dag", dag)
     assert code == 1 and out == ""
     assert err.startswith("error: line 1:")
+
+
+@pytest.mark.parametrize("text,line", [("0 x\n1 0\n", 1), ("# demands\n0 1\n1 0.5\n", 3)])
+def test_hrel_bad_line_names_it(files, capsys, text, line):
+    matrix = files("m.txt", text)
+    code, out, err = run(capsys, "hrel", "--matrix", matrix)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: line {line}: bad matrix line")
 
 
 def test_hrel_above_slot_cap_is_domain_error(files, capsys):

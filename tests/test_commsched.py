@@ -14,7 +14,7 @@ from bspsched.commsched import (
     cs_lazy,
 )
 from bspsched.dag import Dag, random_dag
-from bspsched.schedule import DB, DS, FB, FS, BspSchedule, check_validity
+from bspsched.schedule import DB, DS, FB, FS, BspSchedule, MachineParams, check_validity
 
 
 def instance(dag, P, S, assign, **kw):
@@ -68,14 +68,6 @@ def test_requirements_basic():
     reqs = cross_requirements(inst)
     assert len(reqs) == 1
     assert reqs[0].value == 1 and reqs[0].target == 2 and reqs[0].first_need == 2
-
-
-def test_requirements_are_fresh_each_call():
-    dag = Dag(3, ((1, 2), (1, 3)))
-    inst = instance(dag, 2, 3, {1: (1, 1), 2: (2, 2), 3: (2, 3)})
-    assert inst.needs == ((1, 2, 2, 2),)  # (value, target, first_need, consumer)
-    cross_requirements(inst)[0].options.append(frozenset())
-    assert cross_requirements(inst)[0].options == []
 
 
 def ref_needs(dag, assign, maxbsp):
@@ -216,6 +208,15 @@ def test_maxbsp_windows_shifted():
     assert cs_eager(inst) == frozenset({(1, 1, 2, 2)})
     with pytest.raises(CsError):
         instance(dag, 2, 2, {1: (1, 1), 2: (2, 2)}, maxbsp=True)
+
+
+def test_maxbsp_instance_needs_params():
+    dag = Dag(2, ((1, 2),))
+    inst = instance(dag, 2, 3, {1: (1, 1), 2: (2, 3)}, maxbsp=True)
+    with pytest.raises(CsError, match="needs machine parameters"):
+        cs_bruteforce(inst, DS)
+    # the only window is superstep 2: g*1 + L overlaps no work there
+    assert cs_bruteforce(inst, DS, params=MachineParams(2, 1)) == ({(1, 1, 2, 2)}, 5)
 
 
 def test_bruteforce_limit_guard():

@@ -53,6 +53,16 @@ def test_parse_syntax_error_reports_line():
     assert "2" in str(err.value)
 
 
+def test_parse_rejects_repeated_weight_line():
+    # the second line used to win: node 1 was priced at 5
+    with pytest.raises(DagError, match="line 4: second 'w' line for node 1"):
+        parse_dag("2 1\n1 2\nw 1 3\nw 1 5\n")
+    with pytest.raises(DagError, match="line 5: second 'c' line for node 2"):
+        parse_dag("2 1\n1 2\nc 2 1\nw 2 3\nc 2 1\n")
+    dag = parse_dag("2 1\n1 2\nw 1 3\nc 1 5\n")
+    assert (dag.work_weight, dag.comm_weight) == ({1: 3}, {1: 5})
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(DagError):
         Dag(2, ((1, 2), (1, 2)))

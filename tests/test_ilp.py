@@ -191,6 +191,12 @@ def test_parse_solution_rejects_non_finite(value):
         parse_solution(f"comp_1_1_1 1\ncwork_1 {value}\n")
 
 
+def test_parse_solution_rejects_repeated_name():
+    # the last value used to win
+    with pytest.raises(IlpError, match="line 3: second value for comp_1_1_1"):
+        parse_solution("comp_1_1_1 1\ncwork_1 0\ncomp_1_1_1 0\n")
+
+
 def _single_node_point():
     model = emit_ilp(Dag(1, ()), 1, S=1)
     return model, encode_schedule(model, BspSchedule(1, 1, {1: ((1, 1),)}))
@@ -289,6 +295,18 @@ def test_encode_schedule_rejects_misfit_schedules():
                   BspSchedule(2, 2, {1: ((1, 1),), 2: ((1, 1),), 3: ((1, 2),)})):
         with pytest.raises(IlpError):
             encode_schedule(model, sched)
+
+
+@pytest.mark.xfail(strict=True, reason="under duplication every copy's "
+                   "processor counts as home, so each copy must cover every "
+                   "receiver, not only the copy that sends")
+def test_duplication_cover_follows_the_sending_copy():
+    dag = Dag(5, ((1, 2), (1, 3), (1, 4), (1, 5)))
+    sched = BspSchedule(3, 2, {1: ((1, 1), (2, 1)), 2: ((1, 2),), 3: ((2, 2),),
+                               4: ((3, 2),), 5: ((1, 2),)}, {(1, 1, 3, 1)})
+    assert check_validity(dag, sched, DS, duplication=True).valid
+    model = emit_ilp(dag, 3, S=2, model=DS, duplication=True)
+    assert check_assignment(model, encode_schedule(model, sched)) == []
 
 
 def test_duplication_relaxes_assignment():

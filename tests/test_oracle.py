@@ -78,6 +78,13 @@ def test_budget_from_env_names_non_integer_field(monkeypatch):
         OracleBudget.from_env()
 
 
+def test_budget_from_env_refuses_repeated_field(monkeypatch):
+    # the last value used to win: this ran with max_nodes=12
+    monkeypatch.setenv("BSPSCHED_BUDGET", "max_nodes=1,max_nodes=12")
+    with pytest.raises(ValueError, match="budget field max_nodes given twice"):
+        OracleBudget.from_env()
+
+
 def test_budget_has_no_time_horizon_field(monkeypatch):
     # the timed search never goes past the serial makespan, so a horizon
     # cap is no budget field

@@ -20,6 +20,7 @@ from bspsched.schedule import (
     parse_schedule,
     serialize_schedule,
 )
+from bspsched.variants import parse_timed_schedule
 
 
 def single(assign):
@@ -134,6 +135,26 @@ def test_parse_rejects_unknown_node_with_line_number():
         parse_schedule(text, EDGE2)
     with pytest.raises(ScheduleError, match="line 1"):
         parse_schedule("p 0 1\ns 1 1\np 2 1\ns 2 1\n", EDGE2)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("p 1 1\np 1 2\ns 1 1\np 2 2\ns 2 2\n", "line 2: second 'p' line for node 1 copy 1"),
+    ("p 1 1\ns 1 1\np 2 2\ns 2 1\ns 2 2\n", "line 5: second 's' line for node 2 copy 1"),
+    ("p 1 1 2\ns 1 1 2\np 1 2\ns 1 1\np 1 2 2\np 2 2\ns 2 3\n",
+     "line 5: second 'p' line for node 1 copy 2"),
+])
+def test_parse_rejects_repeated_copy_line(text, message):
+    # the last line used to win, so a schedule file meant two things
+    with pytest.raises(ScheduleError, match=message):
+        parse_schedule(text, EDGE2)
+
+
+def test_parse_timed_rejects_repeated_start_and_keeps_repeated_tuples():
+    with pytest.raises(ScheduleError, match="line 3: second 'at' line for node 1 copy 1"):
+        parse_timed_schedule("p 1 1\nat 1 0\nat 1 4\np 2 1\nat 2 1\n", EDGE2)
+    # tuples form a set: repeating one is harmless
+    sched = parse_schedule("p 1 1\ns 1 1\np 2 2\ns 2 2\nt 1 1 2 1\nt 1 1 2 1\n", EDGE2)
+    assert sched.comms == frozenset({(1, 1, 2, 1)})
 
 
 def cost_fixture():
