@@ -118,6 +118,14 @@ def _search_order(dag: Dag) -> List[int]:
     return order
 
 
+def _longest_from(order: List[int], succ, w: List[int]) -> List[int]:
+    """lp[v]: the work of the heaviest path starting at v, v included."""
+    lp = [0] * len(w)
+    for v in reversed(order):
+        lp[v] = w[v] + max((lp[x] for x in succ[v]), default=0)
+    return lp
+
+
 def _greedy_path_cover(dag: Dag) -> List[List[int]]:
     """Cover all nodes with vertex-disjoint paths, following the smallest
     unvisited successor; used only to build heuristic seed schedules."""
@@ -208,7 +216,10 @@ def brute_opt_bsp(
     superstep count S then gets a branch and bound over assignments, placing
     nodes in _search_order and opening at most the lowest unused processor.
     The single-copy searches also place each twin (same predecessors,
-    successors and weights) no lower than its earlier twin. Raises
+    successors and weights) no lower than its earlier twin. The plain
+    single-copy search (not maxbsp, not duplication) adds a path floor: a
+    path's nodes in one superstep share a processor, so its work from a
+    superstep on is at most the sum of those supersteps' maxima. Raises
     BudgetExceeded when the input exceeds the budget, when the node budget
     runs out, or when the superstep counts above budget.max_s could still
     beat the incumbent."""
@@ -237,6 +248,8 @@ def brute_opt_bsp(
     pred = dag.pred()
     succ = dag.succ()
     w = [0] + [dag.w_work(v) for v in range(1, n + 1)]
+    lp_from = _longest_from(order, succ, w)
+    crit = 0 if maxbsp or duplication else max(lp_from)
     total_work = dag.total_work()
     work_floor = -(-total_work // P)
     gap = 2 if maxbsp else 1
@@ -294,6 +307,17 @@ def brute_opt_bsp(
         fac = [max(g + L, 1)] * (S - 1) + [1]
         ones = [1] * S
         off = 1 if maxbsp else 0
+        # path floor (plain single-copy searches): an edge between
+        # processors needs a later superstep, so a path's nodes in one
+        # superstep t share a processor and weigh at most m_t, its final
+        # maximum. seg[u] is the heaviest path ending at placed u within
+        # u's (p, s); it and the rest of the heaviest path from u lie in
+        # supersteps s.., so m_1 + ... + m_S >= sum(sup_max[:s - 1]) +
+        # reach[s - 1], the most seg[u] + lp_from[u] - w[u] over u in s. An
+        # unplaced v's term (prefix below est[v], plus lp_from[v]) is
+        # dominated by its placed ancestor's or by crit in reach[0].
+        seg = [0] * (n + 1)
+        reach = [crit] + [0] * (S - 1)
 
         def _count(u: int, pv: int, b_lo: int, b_hi: int, sign: int):
             # (u, pv) is confined to the intervals [a, b] with a <= su + off
@@ -343,15 +367,19 @@ def brute_opt_bsp(
                 # precedence-aware tail bound: work whose earliest feasible
                 # superstep is >= s shares supersteps s..S with the work
                 # already placed there, so each prefix of superstep maxima
-                # plus the packed tail is a valid floor
+                # plus the packed tail or the path floor's reach is a floor
                 suffix = rem + placed_w
                 prefix = 0
                 for s in range(S):
-                    cand = prefix + -(-suffix // P)
+                    tail = -(-suffix // P)
+                    r = reach[s]
+                    cand = prefix + (tail if tail > r else r)
                     if cand > wlb:
                         wlb = cand
                     prefix += sup_max[s]
                     suffix -= sup_tot[s] + tail_w[s + 1]
+                    if not suffix:  # nothing is placed or due later
+                        break
             if S == 1:
                 return max(wlb, 1) if maxbsp else wlb
             if duplication:
@@ -388,15 +416,11 @@ def brute_opt_bsp(
                 (tp, ts) = placed[twin[v]][0] if twin[v] else (1, 1)
                 for p in range(tp, min(used + 1, P) + 1):
                     lo = ts if p == tp else 1
-                    ok = True
                     for u in pred[v]:
                         (pu, su) = placed[u][0]
-                        lo = max(lo, su if pu == p else su + gap)
-                        if lo > S:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
+                        first = su if pu == p else su + gap
+                        if first > lo:
+                            lo = first
                     for s in range(lo, S + 1):
                         options.append(((p, s),))
             for copies in options:
@@ -449,8 +473,12 @@ def brute_opt_bsp(
                     tail_w[sv] += w[x]
                     stack.extend(succ[x])
             pair_undo = []
+            top = 0  # the heaviest seg of v's predecessors at (pv, sv)
             for u in pred[v]:
-                if placed[u][0][0] == pv:
+                (pu, su) = placed[u][0]
+                if pu == pv:
+                    if su == sv and seg[u] > top:
+                        top = seg[u]
                     continue
                 old = need[u][pv]
                 if old <= sv:
@@ -459,9 +487,13 @@ def brute_opt_bsp(
                 need[u][pv] = sv
                 _count(u, pv, sv - 1, old - 1, +1)
                 pair_undo.append((u, old))
-            exact_undo = (comm_floor, comm_exact)
+            exact_undo = (comm_floor, comm_exact, reach[sv - 1])
             if pair_undo:
                 comm_exact = False
+            if not maxbsp:
+                seg[v] = wv + top
+                if top + lp_from[v] > reach[sv - 1]:
+                    reach[sv - 1] = top + lp_from[v]
             return (supmax_undo, prev_used, est_undo, pair_undo, exact_undo)
 
         def _unapply(v: int, copies, undo):
@@ -471,10 +503,10 @@ def brute_opt_bsp(
             wv = w[v]
             if not duplication:
                 (pv, sv) = copies[0]
+                (comm_floor, comm_exact, reach[sv - 1]) = exact_undo
                 for (u, old) in reversed(pair_undo):
                     _count(u, pv, sv - 1, old - 1, -1)
                     need[u][pv] = old
-                (comm_floor, comm_exact) = exact_undo
                 for (x, e) in reversed(est_undo):
                     est[x] = e
                     tail_w[sv] -= w[x]
@@ -579,9 +611,7 @@ def brute_opt_timed(
     succ = dag.succ()
     w = [0] + [dag.w_work(v) for v in range(1, n + 1)]
     total = dag.total_work()
-    lp_from = [0] * (n + 1)
-    for v in reversed(order):
-        lp_from[v] = w[v] + max((lp_from[x] for x in succ[v]), default=0)
+    lp_from = _longest_from(order, succ, w)
     lb = max(max(lp_from), -(-total // P))
     barrier = model == "classical_barrier"
     delay = g if model in ("commdelay", "spd") else 0

@@ -134,3 +134,32 @@ def test_five_node_dags_at_three_processors_match_reference():
         if i % 2:
             dag = _weighted(dag, rng)
         _check(dag, 3, [codes[i % 4]], [(1, 0), (0, 1), (1, 1)])
+
+
+# a path whose nodes share one (processor, superstep) with a skip edge over
+# part of it: the path floor must take the heaviest predecessor segment in
+# the same cell, not their sum, which counts the skipped-over work twice
+SKIP_EDGES = [
+    pytest.param(Dag(5, ((1, 4), (2, 4), (2, 5), (4, 5)), work_weight={2: 3},
+                     comm_weight={2: 3, 4: 3, 5: 3}), 3, 1, 2, "db", 6,
+                 id="two-sources-db"),
+    pytest.param(Dag(5, ((1, 2), (1, 4), (1, 5), (2, 4), (4, 5)),
+                     work_weight={3: 3, 4: 2}, comm_weight={4: 3}),
+                 3, 2, 2, "fb", 5, id="chain-two-skips-fb"),
+    pytest.param(Dag(5, ((1, 3), (1, 4), (3, 4)), comm_weight={1: 3, 2: 2}),
+                 2, 1, 0, "ds", 3, id="triangle-ds"),
+    pytest.param(Dag(5, ((1, 2), (1, 4), (2, 4)), work_weight={2: 2},
+                     comm_weight={5: 3}), 2, 1, 1, "fs", 4, id="triangle-fs"),
+    pytest.param(Dag(5, ((2, 3), (2, 5), (3, 5)), work_weight={3: 3},
+                     comm_weight={1: 2, 5: 2}), 2, 2, 2, "db", 5,
+                 id="triangle-db"),
+    pytest.param(Dag(5, ((1, 3), (1, 5), (3, 5)), work_weight={1: 3, 5: 3},
+                     comm_weight={1: 3, 3: 2}), 2, 1, 1, "db", 7,
+                 id="triangle-weighted-db"),
+]
+
+
+@pytest.mark.parametrize("dag, P, g, L, code, optimum", SKIP_EDGES)
+def test_skip_edge_dags_match_reference(dag, P, g, L, code, optimum):
+    assert reference(dag, P, MODELS[code], [(g, L)]) == {(g, L): optimum}
+    assert brute_opt_bsp(dag, P, g, L, MODELS[code])[1] == optimum
